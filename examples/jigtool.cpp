@@ -65,10 +65,10 @@
 //                                   the demo-live radios stream to a
 //                                   collector on 127.0.0.1:<port> instead of
 //                                   writing files (<dir> is ignored)
-//   jigtool wing <dir> <root_host> <root_port> [wing_id] [threads]
-//                                   wing node: local merge over <dir>'s
-//                                   radios, relaying each record stream to
-//                                   the root
+//   jigtool wing <dir> <root_host> <root_port> [wing_id]
+//                                   wing node: relay each of <dir>'s radio
+//                                   record streams to the root, verbatim
+//                                   (no local merge)
 //   jigtool root <port> <n> [threads] [--spill-dir <sdir>]
 //                                   root node: accept n radio streams from
 //                                   the wings on 127.0.0.1:<port> and run
@@ -456,30 +456,28 @@ int CmdCollect(const char* out_dir, long port, long n,
   }
 }
 
-// Wing node: local merge over a trace directory, relaying every radio's
-// record stream to the root (docs/ARCHITECTURE.md, two-level topology).
+// Wing node: relays every radio's record stream in a trace directory to
+// the root (docs/ARCHITECTURE.md, two-level topology).
 int CmdWing(const char* dir, const char* root_host, long root_port,
-            long wing_id, unsigned threads, const char* spill_dir) {
-  TraceSet traces = TraceSet::OpenDirectory(dir);
-  if (traces.empty()) {
-    std::fprintf(stderr, "no .jigt files in %s\n", dir);
-    return 1;
-  }
+            long wing_id) {
   try {
+    TraceSet traces = TraceSet::OpenDirectory(dir);
+    if (traces.empty()) {
+      std::fprintf(stderr, "no .jigt files in %s\n", dir);
+      return 1;
+    }
     WingConfig cfg;
     cfg.wing_id = static_cast<std::uint32_t>(wing_id);
     cfg.root_host = root_host;
     cfg.root_port = static_cast<std::uint16_t>(root_port);
-    cfg.merge.threads = threads;
-    if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
     WingSession wing(traces, cfg);
-    const auto stats = wing.Run();
+    wing.Run();
     std::printf("wing %ld: relayed %llu records from %zu radios "
-                "(%llu local jframes)\n",
+                "(%llu uplink bytes)\n",
                 wing_id,
                 static_cast<unsigned long long>(wing.records_relayed()),
                 traces.size(),
-                static_cast<unsigned long long>(stats.stats.jframes));
+                static_cast<unsigned long long>(wing.bytes_relayed()));
     return 0;
   } catch (const TraceTruncatedError& e) {
     std::fprintf(stderr, "truncated input: %s\n", e.what());
@@ -1105,10 +1103,10 @@ int main(int argc, char** argv) {
   };
   if (spill_dir != nullptr && std::strcmp(cmd, "merge") != 0 &&
       std::strcmp(cmd, "follow") != 0 && std::strcmp(cmd, "root") != 0 &&
-      std::strcmp(cmd, "wing") != 0 && std::strcmp(cmd, "serve") != 0) {
+      std::strcmp(cmd, "serve") != 0) {
     std::fprintf(stderr,
-                 "warning: --spill-dir only applies to merge/follow/wing/"
-                 "root/serve; ignored for '%s'\n",
+                 "warning: --spill-dir only applies to merge/follow/root/"
+                 "serve; ignored for '%s'\n",
                  cmd);
   }
   if (tcp_port >= 0 && std::strcmp(cmd, "demo-live") != 0) {
@@ -1167,11 +1165,10 @@ int main(int argc, char** argv) {
     if (pos.size() < 2) {
       std::fprintf(stderr,
                    "usage: jigtool wing <dir> <root_host> <root_port> "
-                   "[wing_id] [threads]\n");
+                   "[wing_id]\n");
       return 2;
     }
-    return CmdWing(dir, pos[0], std::atol(pos[1]), pos_long(2, 0),
-                   static_cast<unsigned>(pos_long(3, 0)), spill_dir);
+    return CmdWing(dir, pos[0], std::atol(pos[1]), pos_long(2, 0));
   }
   if (std::strcmp(cmd, "root") == 0) {
     // <dir> slot carries the port for this command.

@@ -1,5 +1,6 @@
 #include "jigsaw/distributed.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <set>
@@ -30,68 +31,6 @@ net::Socket ConnectWithRetry(const std::string& host, std::uint16_t port,
   }
 }
 
-// Relays the records a merge consumes from one radio to its uplink,
-// exactly once each.  The merge's bootstrap pass rewinds every trace and
-// re-reads from offset zero; the forwarded high-water mark makes those
-// re-reads relay-silent, so the root receives each record once, in
-// stream order — the uplink is a verbatim copy of the radio's trace.
-class TeeStream final : public RecordStream {
- public:
-  TeeStream(RecordStream& inner, SocketTraceWriter& uplink)
-      : inner_(inner), uplink_(uplink) {}
-
-  const TraceHeader& header() const override { return inner_.header(); }
-
-  const CaptureRecord* NextRef() override {
-    const CaptureRecord* rec = inner_.NextRef();
-    if (rec == nullptr) {
-      // Probed past the end of a finalized capture: everything the
-      // source will ever hold has passed through this cursor.
-      if (inner_.Finalized()) exhausted_ = true;
-      return nullptr;
-    }
-    ++consumed_;
-    if (consumed_ > forwarded_) {
-      uplink_.Append(*rec);
-      forwarded_ = consumed_;
-    }
-    return rec;
-  }
-
-  std::optional<CaptureRecord> Next() override {
-    const CaptureRecord* rec = NextRef();
-    if (!rec) return std::nullopt;
-    return *rec;
-  }
-
-  void Rewind() override {
-    inner_.Rewind();
-    consumed_ = 0;  // forwarded_ high-water mark survives: no re-send
-    exhausted_ = false;
-  }
-
-  bool Finalized() const override { return inner_.Finalized(); }
-
-  // True once every record the source will ever hold has been relayed:
-  // the capture is finalized AND this cursor has been probed past its
-  // end AND no rewound replay is still catching up to the high-water
-  // mark.  Only then may the uplink carry the finalize marker —
-  // finalizing on Finalized() alone would cut off records the merge has
-  // not consumed (and therefore not relayed) yet.
-  bool FullyRelayed() const {
-    return exhausted_ && consumed_ == forwarded_;
-  }
-
-  std::uint64_t forwarded() const { return forwarded_; }
-
- private:
-  RecordStream& inner_;
-  SocketTraceWriter& uplink_;
-  std::uint64_t consumed_ = 0;
-  std::uint64_t forwarded_ = 0;
-  bool exhausted_ = false;
-};
-
 std::string WingLabel(std::uint32_t wing_id) {
   return "wing=\"" + std::to_string(wing_id) + "\"";
 }
@@ -100,19 +39,17 @@ std::string WingLabel(std::uint32_t wing_id) {
 
 struct WingSession::Impl {
   WingConfig config;
+  TraceSet& traces;
   std::vector<std::unique_ptr<SocketTraceWriter>> uplinks;
-  std::vector<TeeStream*> tees;  // owned by tee_set
-  TraceSet tee_set;
-  std::vector<bool> uplink_finished;
-  std::vector<std::uint64_t> uplink_bytes_reported;
   std::uint64_t records_relayed = 0;
+  std::uint64_t bytes_relayed = 0;
 
   obs::Counter& uplink_records;
   obs::Counter& uplink_bytes;
-  obs::Gauge& lag;
 
-  Impl(TraceSet& traces, const WingConfig& cfg)
+  Impl(TraceSet& local, const WingConfig& cfg)
       : config(cfg),
+        traces(local),
         uplink_records(obs::MetricRegistry::Global().GetCounter(
             "jig_wing_uplink_records_total",
             "Records relayed to the root, per wing",
@@ -120,52 +57,26 @@ struct WingSession::Impl {
         uplink_bytes(obs::MetricRegistry::Global().GetCounter(
             "jig_wing_uplink_bytes_total",
             "Framed bytes relayed to the root, per wing",
-            WingLabel(cfg.wing_id))),
-        lag(obs::MetricRegistry::Global().GetGauge(
-            "jig_wing_lag_us", "Wing-local merge live lag, per wing",
             WingLabel(cfg.wing_id))) {
     for (std::size_t i = 0; i < traces.size(); ++i) {
-      auto uplink = std::make_unique<SocketTraceWriter>(
+      uplinks.push_back(std::make_unique<SocketTraceWriter>(
           ConnectWithRetry(config.root_host, config.root_port,
                            config.connect_timeout_ms),
-          traces.at(i).header(), config.wing_id, config.records_per_block);
-      auto tee = std::make_unique<TeeStream>(traces.at(i), *uplink);
-      tees.push_back(tee.get());
-      tee_set.Add(std::move(tee));
-      uplinks.push_back(std::move(uplink));
+          traces.at(i).header(), config.wing_id, config.records_per_block));
     }
-    uplink_finished.assign(uplinks.size(), false);
-    uplink_bytes_reported.assign(uplinks.size(), 0);
   }
 
-  void PublishProgress(MergeSession& session) {
-    std::uint64_t relayed = 0;
-    for (std::size_t i = 0; i < uplinks.size(); ++i) {
-      if (uplink_finished[i]) {
-        relayed += tees[i]->forwarded();
-        continue;
-      }
-      // A finalized, fully-relayed radio finalizes its uplink right away
-      // — like a capture daemon shutting down — so the root's watermark
-      // never stalls on a wing radio that has already said everything.
-      if (tees[i]->FullyRelayed()) {
-        uplinks[i]->Finish();
-        uplink_finished[i] = true;
-      } else {
-        uplinks[i]->Sync();
-      }
-      relayed += tees[i]->forwarded();
-      const std::uint64_t bytes = uplinks[i]->bytes_sent();
-      if (bytes > uplink_bytes_reported[i]) {
-        uplink_bytes.Add(bytes - uplink_bytes_reported[i]);
-        uplink_bytes_reported[i] = bytes;
-      }
+  void PublishProgress() {
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+    for (const auto& uplink : uplinks) {
+      records += uplink->records_sent();
+      bytes += uplink->bytes_sent();
     }
-    if (relayed > records_relayed) {
-      uplink_records.Add(relayed - records_relayed);
-      records_relayed = relayed;
-    }
-    lag.Set(session.live_lag_us());
+    uplink_records.Add(records - records_relayed);
+    uplink_bytes.Add(bytes - bytes_relayed);
+    records_relayed = records;
+    bytes_relayed = bytes;
   }
 };
 
@@ -178,51 +89,48 @@ std::uint64_t WingSession::records_relayed() const {
   return impl_->records_relayed;
 }
 
-MergeStreamStats WingSession::Run() {
-  MergeStreamStats result;
-  {
-    MergeSession session(impl_->tee_set, impl_->config.merge,
-                         [](JFrame&&) {});
-    for (;;) {
-      const auto status = session.Poll();
-      impl_->PublishProgress(session);
-      if (status == MergeSession::Status::kDone) break;
-      // Live sources: wait for the writers to append more.
+std::uint64_t WingSession::bytes_relayed() const {
+  return impl_->bytes_relayed;
+}
+
+void WingSession::Run() {
+  Impl& impl = *impl_;
+  const std::size_t per_round =
+      std::max<std::size_t>(1, impl.config.records_per_block);
+  std::vector<bool> finished(impl.uplinks.size(), false);
+  std::size_t open = impl.uplinks.size();
+  while (open > 0) {
+    bool moved = false;
+    for (std::size_t i = 0; i < impl.uplinks.size(); ++i) {
+      if (finished[i]) continue;
+      RecordStream& source = impl.traces.at(i);
+      SocketTraceWriter& uplink = *impl.uplinks[i];
+      const CaptureRecord* rec = nullptr;
+      std::size_t n = 0;
+      while (n < per_round && (rec = source.NextRef()) != nullptr) {
+        uplink.Append(*rec);
+        ++n;
+      }
+      if (n > 0) {
+        uplink.Sync();
+        moved = true;
+      }
+      // Probed past the end of a finalized capture: everything the radio
+      // will ever hold is relayed.  Finish its uplink now — like a capture
+      // daemon shutting down — so the root's watermark never waits on a
+      // radio that has said everything while its wing-mates keep going.
+      if (rec == nullptr && source.Finalized()) {
+        uplink.Finish();
+        finished[i] = true;
+        --open;
+      }
+    }
+    impl.PublishProgress();
+    // Live sources: wait for the writers to append more.
+    if (!moved && open > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    result.bootstrap = session.bootstrap();
-    result.stats = session.stats();
   }
-  // The local merge does NOT consume every record: the unifier skips
-  // traces its wing-local bootstrap could not sync (a wing holds only
-  // some of the monitors, so clock bridges that run through another
-  // wing's radios are invisible here).  The relay contract is verbatim —
-  // the root's bootstrap sees every wing side by side and CAN sync them —
-  // so drain each tee to the end: the replay is relay-silent up to the
-  // high-water mark and forwards only the never-consumed tail.
-  std::uint64_t relayed = 0;
-  for (TeeStream* tee : impl_->tees) {
-    tee->Rewind();
-    while (tee->NextRef() != nullptr) {
-    }
-    relayed += tee->forwarded();
-  }
-  if (relayed > impl_->records_relayed) {
-    impl_->uplink_records.Add(relayed - impl_->records_relayed);
-    impl_->records_relayed = relayed;
-  }
-  for (std::size_t i = 0; i < impl_->uplinks.size(); ++i) {
-    if (!impl_->uplink_finished[i]) {
-      impl_->uplinks[i]->Finish();
-      impl_->uplink_finished[i] = true;
-    }
-    const std::uint64_t bytes = impl_->uplinks[i]->bytes_sent();
-    if (bytes > impl_->uplink_bytes_reported[i]) {
-      impl_->uplink_bytes.Add(bytes - impl_->uplink_bytes_reported[i]);
-      impl_->uplink_bytes_reported[i] = bytes;
-    }
-  }
-  return result;
 }
 
 struct RootSession::Impl {

@@ -2,27 +2,25 @@
 //
 // The paper's deployment pulled ~150 radio traces to one central server;
 // scaling past one machine calls for the classic collector tree: a *wing*
-// node sits near a group of radios, runs a normal MergeSession over them,
-// and relays their record streams to a *root* node, which k-way merges
-// every wing's sub-streams into the single global jframe stream.
+// node sits near a group of radios and relays their record streams to a
+// *root* node, which k-way merges every wing's sub-streams into the single
+// global jframe stream.
 //
 // Determinism contract: the root's output is byte-identical to a
-// single-node merge over the same traces.  The wing therefore relays each
-// radio's records verbatim — one valid per-radio .jigt socket stream per
-// radio (docs/FORMATS.md socket transport), paced by the wing's own merge
-// consumption — rather than shipping its locally-unified jframes: a
-// wing-local unification bakes in per-wing bootstrap offsets that cannot
-// be reconciled back to the global solution byte-for-byte.  The wing's
-// MergeSession still runs (its jframe stream feeds wing-local analyses
-// and the per-wing lag metric), and the boundary-overlap reconciliation —
-// re-grouping frames heard by radios on *different* wings — falls out of
-// the root's global unifier, which sees every wing's copies side by side.
-// docs/ARCHITECTURE.md walks through the topology.
+// single-node merge over the same traces.  The wing is therefore a pure
+// relay — each radio's records travel verbatim, in capture order, as one
+// valid per-radio .jigt socket stream (docs/FORMATS.md socket transport)
+// — and never unifies: a wing-local unification would bake in per-wing
+// bootstrap offsets that cannot be reconciled back to the global solution
+// byte-for-byte, and a wing-local bootstrap cannot even sync radios whose
+// clock bridges run through another wing.  The boundary-overlap
+// reconciliation — re-grouping frames heard by radios on *different*
+// wings — falls out of the root's global unifier, which sees every wing's
+// copies side by side.  docs/ARCHITECTURE.md walks through the topology.
 //
 // Per-wing observability (labeled wing="<id>"):
 //   jig_wing_uplink_records_total   records relayed to the root
 //   jig_wing_uplink_bytes_total     framed bytes relayed
-//   jig_wing_lag_us                 the wing merge's live lag
 // Root side:
 //   jig_root_boundary_jframes_total jframes unifying copies from >1 wing
 #pragma once
@@ -43,21 +41,21 @@ struct WingConfig {
   std::uint32_t wing_id = 0;
   std::string root_host = "127.0.0.1";
   std::uint16_t root_port = 0;
-  // Local merge settings (threads, spill, ...).  The wing's merge output
-  // is discarded here; only its consumption paces the relay.
+  // Unused: a wing relays without merging.  Kept only because existing
+  // callers (bench/e2e/batch.cc) still set merge.threads.
   MergeConfig merge;
-  // Records per relayed block.  Small blocks publish sooner (lower root
-  // latency), large blocks compress better.
+  // Records per relayed block, and the most records one radio relays per
+  // round.  Small blocks publish sooner (lower root latency), large blocks
+  // compress better.
   std::size_t records_per_block = 256;
   // How long to keep retrying the root connection before giving up.
   int connect_timeout_ms = 10000;
 };
 
-// Drives one wing: connects one uplink per local radio, then runs the
-// local MergeSession to completion, relaying every record exactly once in
-// stream order.  The local traces may be live (tail-follow) sources; the
-// relay finalizes each uplink as soon as its radio's capture is finalized
-// and fully relayed.
+// Drives one wing: connects one uplink per local radio, then relays every
+// record exactly once, in capture order.  The local traces may be live
+// (tail-follow) sources; each uplink finishes as soon as its radio's
+// capture is finalized and fully relayed, whatever the other radios do.
 class WingSession {
  public:
   // `traces` must outlive the session.  Throws std::runtime_error when
@@ -65,11 +63,14 @@ class WingSession {
   WingSession(TraceSet& traces, const WingConfig& config);
   ~WingSession();
 
-  // Polls the local merge until kDone, relaying as it goes.  Blocking;
+  // Round-robins over the radios until every uplink has finished.  Each
+  // round moves up to records_per_block records per radio and cuts them
+  // into one block; a round that moved nothing sleeps 5 ms.  Blocking;
   // run one thread per wing.
-  MergeStreamStats Run();
+  void Run();
 
   std::uint64_t records_relayed() const;
+  std::uint64_t bytes_relayed() const;  // framed, handshakes included
 
  private:
   struct Impl;

@@ -42,6 +42,17 @@ struct SocketMetrics {
       "Re-dialed connections adopted into an existing stream");
 };
 
+// A unit's length word; a garbage length is corruption, not a partial
+// block to wait out.
+std::uint32_t BlockLength(const std::uint8_t* p) {
+  const std::uint32_t packed_len = DecodeU32(p);
+  if (packed_len > kMaxPackedBlockLen) {
+    throw TraceCorruptError("socket trace: garbage block length " +
+                            std::to_string(packed_len));
+  }
+  return packed_len;
+}
+
 SocketMetrics& Metrics() {
   static SocketMetrics* m = new SocketMetrics();
   return *m;
@@ -146,29 +157,62 @@ SocketTrace::SocketTrace(net::Socket sock, TraceHeader header,
 
 bool SocketTrace::Pump() {
   if (finalized_) return false;
-  if (!peer_eof_) peer_eof_ = DrainSocket(sock_, buf_);
+  const std::size_t before = records_.size();
+  // A handshake's leftover may hold complete units; afterwards buf_ only
+  // ever carries one partial unit, so this decodes nothing.
+  if (const std::size_t used = DecodeUnits(buf_.data(), buf_.size())) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(used));
+    buf_.shrink_to_fit();
+  }
+  std::uint8_t chunk[64 * 1024];
+  while (!finalized_ && !peer_eof_) {
+    const net::ReadResult r = net::ReadSome(sock_, chunk, sizeof chunk);
+    if (r.n == 0) {
+      peer_eof_ = r.eof;
+      break;
+    }
+    Metrics().bytes.Add(r.n);
+    Consume(chunk, r.n);
+  }
+  return finalized_ || records_.size() > before;
+}
+
+void SocketTrace::Consume(const std::uint8_t* data, std::size_t n) {
   std::size_t off = 0;
-  bool produced = false;
-  while (buf_.size() - off >= 4) {
-    const std::uint32_t packed_len = DecodeU32(buf_.data() + off);
+  // Complete the unit the previous read cut off — its length word, then
+  // its block — taking from `data` only the bytes it still misses.
+  while (!buf_.empty()) {
+    const std::size_t want =
+        buf_.size() < 4 ? 4 : 4 + std::size_t{BlockLength(buf_.data())};
+    if (buf_.size() == want) {
+      DecodeUnits(buf_.data(), buf_.size());
+      buf_.clear();
+      break;
+    }
+    if (off == n) return;
+    const std::size_t take = std::min(want - buf_.size(), n - off);
+    buf_.reserve(want);
+    buf_.insert(buf_.end(), data + off, data + off + take);
+    off += take;
+  }
+  if (finalized_) return;
+  const std::size_t used = off + DecodeUnits(data + off, n - off);
+  buf_.assign(data + used, data + n);
+}
+
+std::size_t SocketTrace::DecodeUnits(const std::uint8_t* data, std::size_t n) {
+  std::size_t off = 0;
+  while (n - off >= 4) {
+    const std::uint32_t packed_len = BlockLength(data + off);
     if (packed_len == 0) {
       // The finalize marker: latched; any trailing bytes are ignored.
       finalized_ = true;
-      produced = true;
-      off = buf_.size();
       sock_.Close();
-      break;
+      return n;
     }
-    if (packed_len > kMaxPackedBlockLen) {
-      throw TraceCorruptError("socket trace: garbage block length " +
-                              std::to_string(packed_len));
-    }
-    if (buf_.size() - off < 4 + static_cast<std::size_t>(packed_len)) {
-      break;  // partial block: no data yet
-    }
+    if (n - off - 4 < packed_len) break;  // partial block: no data yet
     try {
-      const Bytes raw = LzDecompress(
-          {buf_.data() + off + 4, static_cast<std::size_t>(packed_len)});
+      const Bytes raw = LzDecompress({data + off + 4, packed_len});
       ByteReader r(raw);
       LocalMicros prev = 0;
       while (!r.AtEnd()) {
@@ -189,13 +233,9 @@ bool SocketTrace::Pump() {
                               e.what());
     }
     Metrics().blocks.Add(1);
-    produced = true;
     off += 4 + packed_len;
   }
-  if (off > 0) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(off));
-  }
-  return produced;
+  return off;
 }
 
 std::optional<CaptureRecord> SocketTrace::Next() {

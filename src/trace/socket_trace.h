@@ -119,6 +119,11 @@ class SocketTrace final : public RecordStream {
   // retained-record design pays anyway).  May throw TraceCorruptError.
   void Ingest() { Pump(); }
 
+  // Receive-buffer capacity in bytes.  Pump decodes as it drains, so this
+  // stays within one [len][block] unit however far the sender runs ahead
+  // (a handshake's leftover aside, until the first Pump decodes it).
+  std::size_t buffered_capacity() const { return buf_.capacity(); }
+
  private:
   struct Handshake {
     net::Socket sock;
@@ -136,10 +141,17 @@ class SocketTrace final : public RecordStream {
   SocketTrace(net::Socket sock, TraceHeader header, std::uint32_t source_id,
               std::vector<std::uint8_t> leftover);
 
-  // Drains the socket without blocking and decodes every complete
-  // [len][block] unit into records_.  Returns true if new records (or the
-  // finalize marker) appeared.
+  // Reads the socket 64 KB at a time until it would block, decoding every
+  // complete [len][block] unit into records_ as it goes, so buf_ never
+  // holds more than one partial unit however far the sender runs ahead.
+  // Returns true if new records (or the finalize marker) appeared.
   bool Pump();
+  // Decodes one read's bytes after completing the unit buf_ carries; the
+  // trailing partial unit becomes the new buf_.
+  void Consume(const std::uint8_t* data, std::size_t n);
+  // Decodes the complete units at the front of [data, data + n) and
+  // returns the bytes they span (all n once the finalize marker latches).
+  std::size_t DecodeUnits(const std::uint8_t* data, std::size_t n);
 
   net::Socket sock_;
   TraceHeader header_;

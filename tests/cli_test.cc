@@ -139,6 +139,18 @@ TEST_F(CliTest, ServeTraceConnectionRefusedExitsOne) {
             1);
 }
 
+TEST_F(CliTest, WingUsageErrorsExitTwo) {
+  EXPECT_EQ(RunJigtool("wing " + dir_.string()), 2);  // no root host/port
+  EXPECT_EQ(RunJigtool("wing " + dir_.string() + " 127.0.0.1"), 2);
+}
+
+TEST_F(CliTest, WingOnMissingOrEmptyInputExitsOne) {
+  // Refused before dialing, so no root need listen.
+  const std::string root = " 127.0.0.1 " + std::to_string(UnusedPort());
+  EXPECT_EQ(RunJigtool("wing " + (dir_ / "nonexistent").string() + root), 1);
+  EXPECT_EQ(RunJigtool("wing " + dir_.string() + root), 1);  // no .jigt files
+}
+
 TEST_F(CliTest, ServeTraceCorruptSourceExitsThree) {
   WriteGarbage(dir_ / "bad.jigt");
   // Corruption is detected before the dial, so no collector is needed.

@@ -12,6 +12,8 @@
 // the global unifier says about them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -27,6 +29,7 @@
 #include "synthetic.h"
 #include "trace/net.h"
 #include "trace/socket_trace.h"
+#include "trace/tail_trace.h"
 #include "trace/trace_file.h"
 #include "trace/trace_set.h"
 #include "util/compression.h"
@@ -205,6 +208,159 @@ TEST(SocketTraceTest, MalformedBlockBodyIsCorruption) {
 }
 
 // ---------------------------------------------------------------------------
+// Receive-buffer bound: a sender far ahead of the receiver.
+//
+// A relay-only wing sends as fast as it reads, so a root's socket can hold
+// megabytes by the time it is pumped.  Pump must decode as it drains —
+// 64 KB reads, complete units decoded at once, only the partial tail kept
+// — and that must change nothing a consumer can see: records, the
+// finalize latch, and truncation vs corruption all read as before.
+
+enum class Ending { kMarker, kClose, kGarbage };
+enum class Outcome { kNone, kFinalized, kTruncated, kCorrupt };
+
+void ExpectSameRecord(const CaptureRecord& got, const CaptureRecord& want) {
+  EXPECT_EQ(got.timestamp, want.timestamp);
+  EXPECT_EQ(got.outcome, want.outcome);
+  EXPECT_EQ(got.rate, want.rate);
+  EXPECT_EQ(got.orig_len, want.orig_len);
+  EXPECT_EQ(got.bytes, want.bytes);
+}
+
+void ExpectBacklogReadsBack(Ending ending) {
+  Loopback lo;
+  TraceHeader header;
+  header.radio = 11;
+  // 200-byte LCG payloads barely compress, so 24k records make a ~5 MB
+  // backlog; 61-record blocks keep unit sizes off any 64 KB multiple.
+  std::vector<CaptureRecord> sent;
+  std::uint32_t x = 12345;
+  for (int i = 0; i < 24'000; ++i) {
+    CaptureRecord rec = MakeRecord(1'000 * (i + 1));
+    rec.bytes.resize(200);
+    for (std::uint8_t& b : rec.bytes) {
+      x = x * 1664525u + 1013904223u;
+      b = static_cast<std::uint8_t>(x >> 24);
+    }
+    rec.orig_len = 200;
+    sent.push_back(std::move(rec));
+  }
+  std::vector<Bytes> blocks;
+  for (std::size_t i = 0; i < sent.size(); i += 61) {
+    Bytes body;
+    LocalMicros prev = 0;
+    for (std::size_t j = i; j < std::min(sent.size(), i + 61); ++j) {
+      SerializeRecord(sent[j], prev, body);
+      prev = sent[j].timestamp;
+    }
+    blocks.push_back(LzCompress(body));
+  }
+  constexpr std::size_t kReadSize = std::size_t{64} << 10;
+  std::size_t stream_bytes = 0;
+  std::size_t largest_unit = 0;
+  bool straddles = false;
+  for (const Bytes& block : blocks) {
+    const std::size_t unit = 4 + block.size();
+    straddles = straddles || (stream_bytes < kReadSize &&
+                              stream_bytes + unit > kReadSize);
+    stream_bytes += unit;
+    largest_unit = std::max(largest_unit, unit);
+  }
+  // The first full 64 KB read cuts a block in two.
+  ASSERT_TRUE(straddles);
+  ASSERT_GT(stream_bytes, std::size_t{4} << 20);
+
+  SendHelloAndHeader(lo.client, header);
+  auto trace = SocketTrace::Open(std::move(lo.server));
+  std::thread sender([&] {
+    for (const Bytes& block : blocks) {
+      SendU32(lo.client, static_cast<std::uint32_t>(block.size()));
+      net::SendAll(lo.client, block.data(), block.size());
+    }
+    if (ending == Ending::kMarker) {
+      // The marker, then trailing bytes the latch must ignore; one send,
+      // since the receiver closes as soon as the marker latches.
+      const std::uint8_t tail[8] = {0, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF};
+      net::SendAll(lo.client, tail, sizeof tail);
+    } else if (ending == Ending::kGarbage) {
+      SendU32(lo.client, 0x7FFFFFFF);  // absurd block length
+    }
+    lo.client.Close();
+  });
+
+  // Let the backlog pile up in the kernel buffers before the first pump.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::vector<CaptureRecord> got;
+  Outcome outcome = Outcome::kNone;
+  std::size_t peak_capacity = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (outcome == Outcome::kNone &&
+         std::chrono::steady_clock::now() < deadline) {
+    try {
+      if (const CaptureRecord* rec = trace->NextRef()) {
+        got.push_back(*rec);
+      } else if (trace->Finalized()) {
+        outcome = Outcome::kFinalized;
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    } catch (const TraceTruncatedError&) {
+      outcome = Outcome::kTruncated;
+    } catch (const TraceCorruptError&) {
+      outcome = Outcome::kCorrupt;
+    }
+    peak_capacity = std::max(peak_capacity, trace->buffered_capacity());
+  }
+  sender.join();
+
+  // Never more than one unit held back, however far the sender ran ahead.
+  EXPECT_LE(peak_capacity, largest_unit);
+  ASSERT_LE(got.size(), sent.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ExpectSameRecord(got[i], sent[i]);
+  }
+  switch (ending) {
+    case Ending::kMarker:
+      EXPECT_EQ(outcome, Outcome::kFinalized);
+      EXPECT_EQ(got.size(), sent.size());
+      // The latch holds across Rewind, which replays every record.
+      trace->Rewind();
+      EXPECT_TRUE(trace->Finalized());
+      for (const CaptureRecord& want : sent) {
+        const CaptureRecord* rec = trace->NextRef();
+        ASSERT_NE(rec, nullptr);
+        ExpectSameRecord(*rec, want);
+      }
+      EXPECT_EQ(trace->NextRef(), nullptr);
+      EXPECT_TRUE(trace->Finalized());
+      break;
+    case Ending::kClose:
+      // Truncation surfaces only once everything received is consumed.
+      EXPECT_EQ(outcome, Outcome::kTruncated);
+      EXPECT_EQ(got.size(), sent.size());
+      EXPECT_FALSE(trace->Finalized());
+      break;
+    case Ending::kGarbage:
+      EXPECT_EQ(outcome, Outcome::kCorrupt);
+      EXPECT_FALSE(trace->Finalized());
+      break;
+  }
+}
+
+TEST(SocketTraceTest, MultiMegabyteBacklogFinalizes) {
+  ExpectBacklogReadsBack(Ending::kMarker);
+}
+
+TEST(SocketTraceTest, MultiMegabyteBacklogThenDisconnectIsTruncation) {
+  ExpectBacklogReadsBack(Ending::kClose);
+}
+
+TEST(SocketTraceTest, MultiMegabyteBacklogThenGarbageIsCorruption) {
+  ExpectBacklogReadsBack(Ending::kGarbage);
+}
+
+// ---------------------------------------------------------------------------
 // The tentpole pin: 2 wings x 3 radios, byte-identical to single-node.
 
 class DistributedTest : public ::testing::Test {
@@ -270,11 +426,6 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
     WingConfig wc;
     wc.wing_id = id;
     wc.root_port = port;
-    wc.merge.threads = threads;
-    if (spill) {
-      wc.merge.spill_dir = dir_ / ("spill_wing" + std::to_string(id));
-      wc.merge.spill_threshold = 16;
-    }
     WingSession wing(traces, wc);
     wing.Run();
   };
@@ -314,6 +465,103 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
 INSTANTIATE_TEST_SUITE_P(
     ThreadsBySpill, DistributedVsSingleNode,
     ::testing::Combine(::testing::Values(1u, 2u, 0u), ::testing::Bool()));
+
+// ---------------------------------------------------------------------------
+// Relay liveness over live sources.
+//
+// A wing relays each radio on its own: radio A's uplink must finish as
+// soon as A's capture finalizes, while radio B on the same wing is still
+// being written — otherwise the root's watermark waits on A until the
+// whole wing is done.  B's writer keeps appending until the root has seen
+// A finalize, so a wing that held A back would leave B writing until the
+// deadline.
+
+TEST_F(DistributedTest, WingFinishesEachUplinkAsItsRadioFinalizes) {
+  TraceHeader header_a;
+  header_a.radio = 1;
+  TraceHeader header_b;
+  header_b.radio = 2;
+  const fs::path path_a = dir_ / "r1.jigt";
+  const fs::path path_b = dir_ / "r2.jigt";
+  TraceFileWriter writer_a(path_a, header_a, /*records_per_block=*/16);
+  TraceFileWriter writer_b(path_b, header_b, /*records_per_block=*/16);
+  writer_a.Append(MakeRecord(1'000));
+  writer_a.Sync();
+  writer_b.Append(MakeRecord(1'000));
+  writer_b.Sync();
+  TraceSet live;
+  for (const fs::path& path : {path_a, path_b}) {
+    auto tail = TailFileTrace::TryOpen(path);
+    ASSERT_NE(tail, nullptr);
+    live.Add(std::move(tail));
+  }
+
+  net::Listener listener("127.0.0.1", 0);
+  WingConfig wc;
+  wc.wing_id = 4;
+  wc.root_port = listener.port();
+  wc.records_per_block = 8;
+  std::uint64_t relayed = 0;
+  std::thread wing_thread([&] {
+    WingSession wing(live, wc);
+    wing.Run();
+    relayed = wing.records_relayed();
+  });
+
+  std::atomic<bool> a_final_at_root{false};
+  std::uint64_t records_a = 1;
+  std::uint64_t records_b = 1;
+  bool b_waited_for_root = false;
+  std::thread writer([&] {
+    for (int i = 2; i <= 50; ++i) writer_a.Append(MakeRecord(1'000 * i));
+    writer_a.Finish();
+    records_a = 50;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!a_final_at_root && std::chrono::steady_clock::now() < deadline) {
+      ++records_b;
+      writer_b.Append(MakeRecord(1'000 * static_cast<LocalMicros>(records_b)));
+      writer_b.Sync();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    b_waited_for_root = a_final_at_root;
+    writer_b.Finish();
+  });
+
+  std::uint64_t got_a = 0;
+  std::uint64_t got_b = 0;
+  bool b_open_when_a_finalized = false;
+  try {
+    TraceSet root = AcceptTraces(listener, 2);
+    RecordStream& a = root.at(0);
+    RecordStream& b = root.at(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!(a.Finalized() && b.Finalized()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      while (a.NextRef() != nullptr) ++got_a;
+      while (b.NextRef() != nullptr) ++got_b;
+      if (a.Finalized() && !a_final_at_root) {
+        b_open_when_a_finalized = !b.Finalized();
+        a_final_at_root = true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  } catch (...) {
+    a_final_at_root = true;
+    writer.join();
+    wing_thread.join();
+    throw;
+  }
+  writer.join();
+  wing_thread.join();
+
+  EXPECT_TRUE(b_open_when_a_finalized);
+  EXPECT_TRUE(b_waited_for_root);
+  EXPECT_EQ(got_a, records_a);
+  EXPECT_EQ(got_b, records_b);
+  EXPECT_EQ(relayed, records_a + records_b);
+}
 
 // ---------------------------------------------------------------------------
 // Disconnect-then-reconnect (regression).
