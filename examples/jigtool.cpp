@@ -12,7 +12,7 @@
 //   jigtool info <dir>              per-radio record counts and clock info
 //   jigtool merge <dir> [threads] [--spill-dir <sdir>]
 //                 [--spill-threshold <n>] [--stats-json <file>]
-//                 [--mmap] [--pin-threads]
+//                 [--pin-threads]
 //                                   run the merge, print summary statistics
 //                                   (threads: 0 = auto, 1 = single-threaded;
 //                                   --spill-dir stages shard backlog on disk
@@ -21,18 +21,15 @@
 //                                   depth that engages the tier;
 //                                   --stats-json writes the pipeline metric
 //                                   registry as JSON after the run;
-//                                   --mmap memory-maps the trace files, with
-//                                   silent fallback to buffered reads;
 //                                   --pin-threads pins shard workers to CPUs
 //                                   round-robin — Linux only, no-op
-//                                   elsewhere.  Neither changes the output)
+//                                   elsewhere; it does not change the
+//                                   output)
 //   jigtool follow <dir> [radios] [threads] [--spill-dir <sdir>]
 //                 [--pin-threads]
 //                                   tail a directory that is still being
 //                                   written: resumable MergeSession +
 //                                   analysis bus, merge summary at the end
-//                                   (tail readers always use buffered reads;
-//                                   --mmap does not apply)
 //   jigtool stats <dir> [interval_s] [--stats-json <file>]
 //                                   run (or tail) the merge and expose the
 //                                   metric registry in Prometheus text
@@ -283,53 +280,33 @@ int CmdDemoLiveTcp(long seconds, long chunk_wall_ms, long tcp_port) {
   return 0;
 }
 
-// Pushes one trace file's framed bytes to a collector.  Relays raw bytes
-// block-by-block — it never re-encodes, and it never sends the index
-// trailer (the socket stream ends at the finalize marker).  A truncated
-// file relays its complete blocks and then closes WITHOUT the marker, so
-// the receiver observes the same truncation (exit 3 on both ends).
+// Pushes one trace file's framed bytes to a collector.  Relays the prefix
+// and each [len][LZ block] unit exactly as the block codec frames them — it
+// never re-encodes, and it never sends the index trailer (the socket stream
+// ends at the finalize marker).  A truncated file relays its complete
+// blocks and then closes WITHOUT the marker, so the receiver observes the
+// same truncation (exit 3 on both ends).
 int CmdServeTrace(const char* file, const char* host, long port) {
-  std::FILE* f = std::fopen(file, "rb");
-  if (!f) {
+  std::unique_ptr<block_codec::FileSource> source;
+  try {
+    source = std::make_unique<block_codec::FileSource>(file);
+  } catch (const std::exception&) {
     std::fprintf(stderr, "cannot open %s\n", file);
     return 1;
   }
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{f};
-
-  const auto read_exact = [f](void* buf, std::size_t n) {
-    return std::fread(buf, 1, n, f) == n;
-  };
-  const auto decode_u32 = [](const std::uint8_t* b) {
-    return static_cast<std::uint32_t>(b[0]) |
-           (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) |
-           (static_cast<std::uint32_t>(b[3]) << 24);
-  };
-
-  std::uint8_t prefix[12];  // magic + version + header_len
-  if (!read_exact(prefix, sizeof prefix)) {
-    std::fprintf(stderr, "truncated input: %s ends inside the file header\n",
-                 file);
-    return 3;
-  }
-  if (std::memcmp(prefix, kTraceDataMagic, 4) != 0 ||
-      decode_u32(prefix + 4) != kTraceVersion) {
-    std::fprintf(stderr, "corrupt input: bad magic/version in %s\n", file);
-    return 3;
-  }
-  const std::uint32_t hdr_len = decode_u32(prefix + 8);
-  if (hdr_len > kMaxPackedBlockLen) {
-    std::fprintf(stderr, "corrupt input: garbage header length in %s\n",
-                 file);
-    return 3;
-  }
-  std::vector<std::uint8_t> header(hdr_len);
-  if (!read_exact(header.data(), header.size())) {
-    std::fprintf(stderr, "truncated input: %s ends inside the header\n",
-                 file);
+  Bytes frame;
+  std::uint64_t offset = 0;
+  try {
+    const block_codec::Frame prefix =
+        source->ReadFrame(0, frame, block_codec::ParseTracePrefix);
+    if (prefix.status != block_codec::Status::kComplete) {
+      std::fprintf(stderr, "truncated input: %s ends inside the header\n",
+                   file);
+      return 3;
+    }
+    offset = prefix.size;
+  } catch (const TraceCorruptError& e) {
+    std::fprintf(stderr, "corrupt input: %s: %s\n", file, e.what());
     return 3;
   }
 
@@ -340,49 +317,36 @@ int CmdServeTrace(const char* file, const char* host, long port) {
     std::fprintf(stderr, "cannot reach collector: %s\n", e.what());
     return 1;
   }
+  std::uint64_t blocks = 0;
   try {
-    std::uint8_t hello[12];
-    std::memcpy(hello, kSocketHelloMagic, 4);
-    const std::uint32_t hello_rest[2] = {kSocketHelloVersion, 0};
-    std::memcpy(hello + 4, hello_rest, 8);
-    net::SendAll(sock, hello, sizeof hello);
-    net::SendAll(sock, prefix, sizeof prefix);
-    net::SendAll(sock, header.data(), header.size());
-
-    std::uint64_t blocks = 0;
+    Bytes hello(kSocketHelloMagic, kSocketHelloMagic + 4);
+    ByteWriter w(hello);
+    w.U32(kSocketHelloVersion);
+    w.U32(0);  // source id: a standalone sender
+    net::SendAll(sock, hello.data(), hello.size());
+    net::SendAll(sock, frame.data(), frame.size());  // prefix + header
     for (;;) {
-      std::uint8_t len_buf[4];
-      if (!read_exact(len_buf, sizeof len_buf)) {
+      const block_codec::Frame unit =
+          source->ReadFrame(offset, frame, block_codec::ParseUnit);
+      if (unit.status == block_codec::Status::kNeedMore) {
         std::fprintf(stderr,
                      "truncated input: %s has no finalize marker "
                      "(streamed %llu complete blocks, closing without one)\n",
                      file, static_cast<unsigned long long>(blocks));
         return 3;
       }
-      const std::uint32_t packed_len = decode_u32(len_buf);
-      if (packed_len == 0) {
-        net::SendAll(sock, len_buf, sizeof len_buf);  // the marker
+      net::SendAll(sock, frame.data(), unit.size);
+      if (unit.status == block_codec::Status::kMarker) {
         std::printf("served %s: %llu blocks + finalize marker\n", file,
                     static_cast<unsigned long long>(blocks));
         return 0;
       }
-      if (packed_len > kMaxPackedBlockLen) {
-        std::fprintf(stderr, "corrupt input: garbage block length in %s\n",
-                     file);
-        return 3;
-      }
-      std::vector<std::uint8_t> block(packed_len);
-      if (!read_exact(block.data(), block.size())) {
-        std::fprintf(stderr,
-                     "truncated input: %s ends inside a block "
-                     "(closing without the marker)\n",
-                     file);
-        return 3;
-      }
-      net::SendAll(sock, len_buf, sizeof len_buf);
-      net::SendAll(sock, block.data(), block.size());
       ++blocks;
+      offset += unit.size;
     }
+  } catch (const TraceCorruptError& e) {
+    std::fprintf(stderr, "corrupt input: %s: %s\n", file, e.what());
+    return 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "collector went away mid-stream: %s\n", e.what());
     return 3;
@@ -661,11 +625,8 @@ int CmdInfo(const char* dir) {
 }
 
 int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
-             long spill_threshold, const char* stats_json, bool use_mmap,
-             bool pin_threads) {
-  TraceReadOptions read_options;
-  read_options.use_mmap = use_mmap;
-  TraceSet traces = TraceSet::OpenDirectory(dir, read_options);
+             long spill_threshold, const char* stats_json, bool pin_threads) {
+  TraceSet traces = TraceSet::OpenDirectory(dir);
   if (traces.empty()) {
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
     return 1;
@@ -1007,7 +968,7 @@ int main(int argc, char** argv) {
                  "usage: jigtool demo|demo-live|info|merge|follow|stats|"
                  "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
                  "<dir|file|port> [args] [--spill-dir <sdir>] "
-                 "[--stats-json <file>] [--mmap] [--pin-threads] "
+                 "[--stats-json <file>] [--pin-threads] "
                  "[--tcp <port>]\n");
     return 2;
   }
@@ -1019,7 +980,6 @@ int main(int argc, char** argv) {
   const char* stats_json = nullptr;
   long spill_threshold = 0;
   long tcp_port = -1;
-  bool use_mmap = false;
   bool pin_threads = false;
   ServeOptions serve_opt;
   const char* ready_file = nullptr;
@@ -1054,10 +1014,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--until-done") == 0) {
       serve_opt.until_done = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--mmap") == 0) {
-      use_mmap = true;
       continue;
     }
     if (std::strcmp(argv[i], "--pin-threads") == 0) {
@@ -1120,12 +1076,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "warning: --stats-json only applies to merge/stats; "
                  "ignored for '%s'\n",
-                 cmd);
-  }
-  if (use_mmap && std::strcmp(cmd, "merge") != 0) {
-    std::fprintf(stderr,
-                 "warning: --mmap only applies to merge (tail readers "
-                 "re-poll a growing file); ignored for '%s'\n",
                  cmd);
   }
   if (pin_threads && std::strcmp(cmd, "merge") != 0 &&
@@ -1197,7 +1147,7 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "info") == 0) return CmdInfo(dir);
   if (std::strcmp(cmd, "merge") == 0) {
     return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
-                    spill_threshold, stats_json, use_mmap, pin_threads);
+                    spill_threshold, stats_json, pin_threads);
   }
   if (std::strcmp(cmd, "follow") == 0) {
     return CmdFollow(dir, static_cast<std::size_t>(pos_long(0, 0)),

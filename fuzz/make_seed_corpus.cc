@@ -6,6 +6,8 @@
 // the real writers, so the fuzzers start from deep in the format instead of
 // spending their budget rediscovering magic numbers.  Regenerate after any
 // format change (docs/STATIC_ANALYSIS.md, "Refreshing the seed corpora").
+#include <sys/socket.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "jigsaw/spill.h"
+#include "trace/net.h"
+#include "trace/socket_trace.h"
 #include "trace/trace_file.h"
 #include "util/compression.h"
 
@@ -121,6 +125,34 @@ int main(int argc, char** argv) {
       WriteSeed(root / "fuzz_trace_reader", "unfinished_trace.bin",
                 Slurp(unfinished));
     }
+  }
+
+  // --- fuzz_socket_trace: what a sender puts on the wire -----------------
+  {
+    jig::TraceHeader header;
+    header.radio = 5;
+    header.channel = jig::Channel::kCh6;
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      std::fprintf(stderr, "socketpair failed\n");
+      return 1;
+    }
+    jig::net::Socket receiver(fds[0]);
+    {
+      jig::SocketTraceWriter w(jig::net::Socket(fds[1]), header,
+                               /*source_id=*/2, /*records_per_block=*/4);
+      for (std::uint64_t i = 0; i < 10; ++i) w.Append(MakeRecord(i));
+      w.Finish();
+    }  // closes the sender, so the reads below end at EOF
+    jig::Bytes wire;
+    std::uint8_t chunk[4096];
+    for (ssize_t n; (n = ::recv(receiver.fd(), chunk, sizeof chunk, 0)) > 0;) {
+      wire.insert(wire.end(), chunk, chunk + n);
+    }
+    WriteSeed(root / "fuzz_socket_trace", "finalized_stream.bin", wire);
+    // The same stream without its finalize marker: a sender that vanished.
+    wire.resize(wire.size() - 4);
+    WriteSeed(root / "fuzz_socket_trace", "cut_stream.bin", wire);
   }
 
   // --- fuzz_spill_reader: finalized and frontier segments ----------------

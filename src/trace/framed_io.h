@@ -1,22 +1,14 @@
-// Shared stdio framing primitives for the on-disk formats (.jigt traces
-// and .jigs spill segments — docs/FORMATS.md).
-//
-// Both formats frame little-endian length-prefixed blocks into a stdio
-// stream and share one error discipline: a short read at end-of-file means
-// the structure being read was cut off (an unfinished write or a lost
-// tail) and surfaces as TraceTruncatedError, distinct from both clean EOF
-// and corruption.  Keeping the primitives here keeps that discipline in
-// one place — a fix to the short-read/EOF handling must reach every
-// format at once.  `what` names the format for error messages
-// ("trace file", "spill segment").
+// Shared stdio write primitives for the on-disk formats (.jigt traces and
+// .jigs spill segments — docs/FORMATS.md): little-endian length words and
+// raw bytes into a stdio stream, a short write surfacing as
+// std::runtime_error.  `what` names the format for error messages ("trace
+// file", "spill segment").  Reading goes through trace/block_codec.h.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-
-#include "trace/trace_file.h"
 
 namespace jig::framed_io {
 
@@ -38,32 +30,6 @@ inline void WriteU32(std::FILE* f, std::uint32_t v, const char* what) {
 inline void WriteU64(std::FILE* f, std::uint64_t v, const char* what) {
   WriteU32(f, static_cast<std::uint32_t>(v), what);
   WriteU32(f, static_cast<std::uint32_t>(v >> 32), what);
-}
-
-inline void ReadAll(std::FILE* f, void* data, std::size_t n,
-                    const char* what) {
-  if (std::fread(data, 1, n, f) != n) {
-    if (std::feof(f)) {
-      throw TraceTruncatedError(std::string(what) +
-                                ": truncated (file ends mid-structure)");
-    }
-    throw TraceError(std::string(what) + ": read error");
-  }
-}
-
-inline std::uint32_t ReadU32(std::FILE* f, const char* what) {
-  std::uint8_t buf[4];
-  ReadAll(f, buf, 4, what);
-  return static_cast<std::uint32_t>(buf[0]) |
-         (static_cast<std::uint32_t>(buf[1]) << 8) |
-         (static_cast<std::uint32_t>(buf[2]) << 16) |
-         (static_cast<std::uint32_t>(buf[3]) << 24);
-}
-
-inline std::uint64_t ReadU64(std::FILE* f, const char* what) {
-  const std::uint64_t lo = ReadU32(f, what);
-  const std::uint64_t hi = ReadU32(f, what);
-  return lo | (hi << 32);
 }
 
 }  // namespace jig::framed_io

@@ -212,11 +212,11 @@ TEST(ParallelMerge, ScenarioStreamMatchesLegacy) {
   ExpectIdenticalStreams(legacy.jframes, again.jframes);
 }
 
-// The performance-knob matrix: mmap'd trace reads, arena recycling and
-// thread count are pure speed knobs — every combination must emit the
-// stream the defaults emit, byte for byte.  The traces go through a .jigt
-// round trip so the mmap'd read path is actually exercised.
-TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapArenaThreads) {
+// The performance-knob matrix: arena recycling and thread count are pure
+// speed knobs — every combination must emit the stream the defaults emit,
+// byte for byte.  The traces go through a .jigt round trip so the merge
+// reads them through the file reader.
+TEST(PerfKnobMatrix, ByteIdenticalAcrossArenaThreads) {
   namespace fs = std::filesystem;
   auto mem_traces = MultiChannelNetwork(21).Build();
   const auto base = MergeTraces(mem_traces);  // threads=1, defaults
@@ -226,23 +226,18 @@ TEST(PerfKnobMatrix, ByteIdenticalAcrossMmapArenaThreads) {
   fs::remove_all(dir);
   mem_traces.WriteDirectory(dir);
 
-  for (bool use_mmap : {false, true}) {
-    for (bool use_arena : {false, true}) {
-      for (unsigned threads : {1u, 2u, 0u}) {
-        SCOPED_TRACE("mmap=" + std::to_string(use_mmap) +
-                     " arena=" + std::to_string(use_arena) +
-                     " threads=" + std::to_string(threads));
-        TraceReadOptions opts;
-        opts.use_mmap = use_mmap;
-        TraceSet traces = TraceSet::OpenDirectory(dir, opts);
-        ASSERT_EQ(traces.size(), mem_traces.size());
-        MergeConfig cfg;
-        cfg.threads = threads;
-        cfg.use_arena = use_arena;
-        const auto result = MergeTraces(traces, cfg);
-        ExpectIdenticalStreams(base.jframes, result.jframes);
-        ExpectEqualStats(base.stats, result.stats);
-      }
+  for (bool use_arena : {false, true}) {
+    for (unsigned threads : {1u, 2u, 0u}) {
+      SCOPED_TRACE("arena=" + std::to_string(use_arena) +
+                   " threads=" + std::to_string(threads));
+      TraceSet traces = TraceSet::OpenDirectory(dir);
+      ASSERT_EQ(traces.size(), mem_traces.size());
+      MergeConfig cfg;
+      cfg.threads = threads;
+      cfg.use_arena = use_arena;
+      const auto result = MergeTraces(traces, cfg);
+      ExpectIdenticalStreams(base.jframes, result.jframes);
+      ExpectEqualStats(base.stats, result.stats);
     }
   }
   fs::remove_all(dir);

@@ -414,7 +414,9 @@ TEST_P(ServiceRecoveryMatrix, KillDuringTraceReadThenRestart) {
     // Radio 2 dies at record #100 of its ~160-record capture — the merge
     // is mid-consumption, the output writer mid-stream.
     DeploymentMonitor victim(crash,
-                             WrapRadio(2, {.kill_at = 100}));
+                             WrapRadio(2, {.kill_at = 100,
+                                           .stall_at = std::nullopt,
+                                           .delay_finalize = false}));
     RunUntilKilled(victim);
   }
 
@@ -457,7 +459,9 @@ TEST_F(ServiceTest, CleanShutdownThenRestartResumesSameStream) {
     // lagging writer, so the monitor is genuinely mid-stream (some
     // jframes emitted, more to come) when the shutdown lands.
     DeploymentConfig first = Cfg("svc", traces);
-    DeploymentMonitor m(first, WrapRadio(1, {.stall_at = 80}));
+    DeploymentMonitor m(first, WrapRadio(1, {.kill_at = std::nullopt,
+                                             .stall_at = 80,
+                                             .delay_finalize = false}));
     for (int i = 0; i < kMaxRounds && m.jframes_persisted() == 0; ++i) {
       ASSERT_NE(m.PollOnce(), DeploymentMonitor::State::kDone)
           << "stalled radio must keep the monitor mid-stream";
@@ -548,11 +552,17 @@ TEST_F(ServiceTest, SoakManyDeploymentsChurnBoundedRetention) {
     switch (i % 4) {
       case 1:  // a lagging radio: parks mid-stream until released
         wrapper = WrapRadio(static_cast<std::uint32_t>(i % kRadios),
-                            {.stall_at = 40}, &faulty[i]);
+                            {.kill_at = std::nullopt,
+                             .stall_at = 40,
+                             .delay_finalize = false},
+                            &faulty[i]);
         break;
       case 2:  // its peers finalize early; this radio's marker lags
         wrapper = WrapRadio(static_cast<std::uint32_t>(i % kRadios),
-                            {.delay_finalize = true}, &faulty[i]);
+                            {.kill_at = std::nullopt,
+                             .stall_at = std::nullopt,
+                             .delay_finalize = true},
+                            &faulty[i]);
         break;
       case 3: {  // the last radio joins only mid-run
         tdir = dir_ / ("join" + std::to_string(i));
@@ -573,7 +583,11 @@ TEST_F(ServiceTest, SoakManyDeploymentsChurnBoundedRetention) {
       default:
         break;
     }
-    DeploymentConfig cfg = Cfg("d" + std::to_string(i), tdir);
+    // Built with += (not operator+ on a literal): gcc 12 raises a
+    // -Wrestrict false positive on "literal" + std::to_string(...).
+    std::string name = "d";
+    name += std::to_string(i);
+    DeploymentConfig cfg = Cfg(name, tdir);
     cfg.retention_window_us = 300'000;
     cfg.max_output_bytes = kByteCap;
     service.AddDeployment(std::move(cfg), std::move(wrapper));
