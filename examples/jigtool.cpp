@@ -12,21 +12,16 @@
 //   jigtool info <dir>              per-radio record counts and clock info
 //   jigtool merge <dir> [threads] [--spill-dir <sdir>]
 //                 [--spill-threshold <n>] [--stats-json <file>]
-//                 [--pin-threads]
 //                                   run the merge, print summary statistics
-//                                   (threads: 0 = auto, 1 = single-threaded;
+//                                   (threads: 0 = auto, 1 = no worker pool,
+//                                   the shards step on the calling thread;
 //                                   --spill-dir stages shard backlog on disk
 //                                   instead of throttling at the watermark;
 //                                   --spill-threshold overrides the queue
 //                                   depth that engages the tier;
 //                                   --stats-json writes the pipeline metric
-//                                   registry as JSON after the run;
-//                                   --pin-threads pins shard workers to CPUs
-//                                   round-robin — Linux only, no-op
-//                                   elsewhere; it does not change the
-//                                   output)
+//                                   registry as JSON after the run)
 //   jigtool follow <dir> [radios] [threads] [--spill-dir <sdir>]
-//                 [--pin-threads]
 //                                   tail a directory that is still being
 //                                   written: resumable MergeSession +
 //                                   analysis bus, merge summary at the end
@@ -625,7 +620,7 @@ int CmdInfo(const char* dir) {
 }
 
 int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
-             long spill_threshold, const char* stats_json, bool pin_threads) {
+             long spill_threshold, const char* stats_json) {
   TraceSet traces = TraceSet::OpenDirectory(dir);
   if (traces.empty()) {
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
@@ -643,7 +638,6 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
   auto& dispersion = bus.Emplace<DispersionConsumer>();
   MergeConfig cfg;
   cfg.threads = threads;
-  cfg.pin_threads = pin_threads;
   if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
   if (spill_threshold > 0) {
     cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
@@ -711,8 +705,7 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
 // summary is identical to `jigtool merge` over the finished files (the
 // live stream is byte-identical to the batch stream by construction).
 int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
-              const char* spill_dir, long spill_threshold,
-              bool pin_threads) {
+              const char* spill_dir, long spill_threshold) {
   std::printf("following %s ...\n", dir);
   TraceSet traces = TraceSet::FollowDirectory(dir, radios);
   std::printf("tailing %zu traces\n", traces.size());
@@ -724,7 +717,6 @@ int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
   auto& dispersion = bus.Emplace<DispersionConsumer>();
   MergeConfig cfg;
   cfg.threads = threads;
-  cfg.pin_threads = pin_threads;
   if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
   if (spill_threshold > 0) {
     cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
@@ -968,7 +960,7 @@ int main(int argc, char** argv) {
                  "usage: jigtool demo|demo-live|info|merge|follow|stats|"
                  "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
                  "<dir|file|port> [args] [--spill-dir <sdir>] "
-                 "[--stats-json <file>] [--pin-threads] "
+                 "[--stats-json <file>] "
                  "[--tcp <port>]\n");
     return 2;
   }
@@ -980,7 +972,6 @@ int main(int argc, char** argv) {
   const char* stats_json = nullptr;
   long spill_threshold = 0;
   long tcp_port = -1;
-  bool pin_threads = false;
   ServeOptions serve_opt;
   const char* ready_file = nullptr;
   std::vector<const char*> pos;
@@ -1014,10 +1005,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--until-done") == 0) {
       serve_opt.until_done = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--pin-threads") == 0) {
-      pin_threads = true;
       continue;
     }
     if (std::strcmp(argv[i], "--spill-dir") == 0) {
@@ -1075,13 +1062,6 @@ int main(int argc, char** argv) {
       std::strcmp(cmd, "stats") != 0) {
     std::fprintf(stderr,
                  "warning: --stats-json only applies to merge/stats; "
-                 "ignored for '%s'\n",
-                 cmd);
-  }
-  if (pin_threads && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "follow") != 0) {
-    std::fprintf(stderr,
-                 "warning: --pin-threads only applies to merge/follow; "
                  "ignored for '%s'\n",
                  cmd);
   }
@@ -1147,12 +1127,12 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "info") == 0) return CmdInfo(dir);
   if (std::strcmp(cmd, "merge") == 0) {
     return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
-                    spill_threshold, stats_json, pin_threads);
+                    spill_threshold, stats_json);
   }
   if (std::strcmp(cmd, "follow") == 0) {
     return CmdFollow(dir, static_cast<std::size_t>(pos_long(0, 0)),
                      static_cast<unsigned>(pos_long(1, 0)), spill_dir,
-                     spill_threshold, pin_threads);
+                     spill_threshold);
   }
   if (std::strcmp(cmd, "stats") == 0) {
     return CmdStats(dir, pos_long(0, 1), stats_json);

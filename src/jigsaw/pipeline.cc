@@ -20,19 +20,14 @@
 #include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace jig {
 namespace {
 
-// The total order both merge paths emit: timestamp, then channel.  Distinct
+// The total order the merge emits: timestamp, then channel.  Distinct
 // transmissions on one channel never tie below this key in practice, and
 // when they do (identical integer microsecond), unifier emission order is
-// preserved — identically in the single-threaded buffer (stable multimap)
-// and in the sharded k-way merge (per-shard FIFO).
+// preserved — by each shard's reorder buffer (FIFO among equal keys) and by
+// the k-way merge (per-shard FIFO).
 using OrderKey = std::pair<UniversalMicros, std::uint8_t>;
 
 OrderKey KeyOf(const JFrame& jf) {
@@ -93,7 +88,10 @@ Micros EffectiveHorizon(const MergeConfig& config) {
   return std::max(config.reorder_horizon, config.unifier.search_window * 2);
 }
 
-constexpr std::size_t kUnifyStep = 1024;  // groups per scheduling slice
+constexpr std::size_t kUnifyStep = 1024;  // groups per pooled-round slice
+// Groups per inline pull slice: small, so a cold start emits after a few
+// dozen groups instead of after unifying the whole available prefix.
+constexpr std::size_t kPullStep = 32;
 
 unsigned ResolveWorkers(unsigned threads, std::size_t shard_count) {
   unsigned n = threads;
@@ -108,10 +106,10 @@ unsigned ResolveWorkers(unsigned threads, std::size_t shard_count) {
 struct PipelineMetrics {
   obs::Counter& shard_events = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_events_total",
-      "Capture events consumed by unifiers (all shards and single mode)");
+      "Capture events consumed by the shard unifiers");
   obs::Counter& shard_jframes = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_jframes_total",
-      "JFrames produced by unifiers (all shards and single mode)");
+      "JFrames produced by the shard unifiers");
   obs::Counter& rounds = obs::MetricRegistry::Global().GetCounter(
       "jig_shard_rounds_total", "Sharded merge rounds executed");
   obs::Gauge& queue_peak = obs::MetricRegistry::Global().GetGauge(
@@ -122,7 +120,7 @@ struct PipelineMetrics {
       "Poll-thread wait at the round barrier (pool mode only)");
   obs::Counter& emitted = obs::MetricRegistry::Global().GetCounter(
       "jig_merge_jframes_emitted_total",
-      "JFrames emitted by the k-way merge (or single-mode reorder)");
+      "JFrames emitted by the k-way merge");
   obs::Histogram& emit_lag_us = obs::MetricRegistry::Global().GetHistogram(
       "jig_merge_emit_lag_us", obs::LatencyBucketsUs(),
       "Capture-time distance between the newest unified jframe and each "
@@ -135,10 +133,6 @@ struct PipelineMetrics {
   obs::Counter& arena_recycled = obs::MetricRegistry::Global().GetCounter(
       "jig_arena_jframes_recycled_total",
       "JFrame carcasses recycled through merge arena pools");
-  obs::Counter& pin_failures = obs::MetricRegistry::Global().GetCounter(
-      "jig_pipeline_pin_failures_total",
-      "Worker CPU-pinning attempts the kernel rejected (fell back to "
-      "normal scheduling)");
 };
 
 PipelineMetrics& Metrics() {
@@ -181,13 +175,16 @@ void ValidateMergeConfig(const MergeConfig& config) {
 // ---------------------------------------------------------------------------
 // MergeSession.
 //
-// Sharded mode runs in rounds: the worker pool steps every shard's unifier
-// (each bounded by the queue watermark), a barrier joins the round, then
-// the Poll() thread k-way merges the shard queues as far as every shard has
-// either a head or a final end-of-stream — the same gating rule as the
-// batch k-way merge, so the emitted order is byte-identical.  Between
-// rounds the workers are idle, which is what makes the session resumable:
-// Poll() simply stops scheduling rounds once no shard can advance.
+// The merge runs in rounds over per-channel shards.  With a worker pool,
+// a round steps every shard's unifier (each bounded by the queue
+// watermark) and a barrier joins it; with one worker (threads == 1, or a
+// single shard), a round runs inline on the Poll() thread and steps only
+// the shards gating the merge.  After each round the Poll() thread k-way
+// merges the shard queues as far as every shard has either a head or a
+// final end-of-stream, so the emitted order does not depend on how the
+// shards were stepped.  Between rounds the workers are idle, which is what
+// makes the session resumable: Poll() simply stops scheduling rounds once
+// no shard can advance.
 
 struct MergeSession::Impl {
   struct LiveShard {
@@ -205,9 +202,9 @@ struct MergeSession::Impl {
     // Consumer-side staging for the k-way merge's peek (Pop() is
     // destructive); counts as retained.
     std::optional<JFrame> spill_head;
-    // Arena (MergeConfig::use_arena): the unifier acquires, the emit path
-    // and spill drain recycle.  Worker-phase and merge-phase accesses are
-    // serialized by the round barrier — see JFramePool.
+    // Arena: the unifier acquires, the emit path and spill drain recycle.
+    // Worker-phase and merge-phase accesses are serialized by the round
+    // barrier — see JFramePool.
     JFramePool pool;
   };
 
@@ -224,16 +221,9 @@ struct MergeSession::Impl {
   // a poll only reads records that arrived since the last one.
   std::vector<std::optional<std::int64_t>> window_end;
   BootstrapResult bootstrap;
-  UnifyStats final_stats;  // sharded stats, latched before teardown
-
-  // Single-threaded (legacy-exact) path.
-  bool single_mode = false;
-  std::unique_ptr<ReorderBuffer> single_reorder;
-  std::unique_ptr<Unifier> single_unifier;
-  JFramePool single_pool;
+  UnifyStats final_stats;  // shard stats, latched before teardown
   std::uint64_t arena_recycled_published = 0;  // counter delta tracking
 
-  // Sharded path.
   std::vector<ChannelShard> shards;
   bool partitioned = false;
   std::vector<std::unique_ptr<LiveShard>> live;
@@ -273,9 +263,8 @@ struct MergeSession::Impl {
     }
   }
 
-  // Every emission — single mode and k-way merge — funnels through here so
-  // the emitted counter, the emit frontier and the lag histogram cannot
-  // drift apart.
+  // Every emission funnels through here so the emitted counter, the emit
+  // frontier and the lag histogram cannot drift apart.
   void Emit(JFrame&& jf) {
     ++emitted;
     emit_frontier.store(jf.timestamp, std::memory_order_relaxed);
@@ -307,8 +296,6 @@ struct MergeSession::Impl {
     // Destroy the unifiers/reorder buffers before handing the shard streams
     // back (they hold references into the shard trace sets).
     live.clear();
-    single_unifier.reset();
-    single_reorder.reset();
     Reassemble();
   }
 
@@ -366,25 +353,6 @@ struct MergeSession::Impl {
   }
 
   void SetupMerge() {
-    if (config.threads == 1 || traces.size() <= 1) {
-      single_mode = true;
-      // After the user sink returns, whatever buffers it did not steal ride
-      // the carcass back into the pool.
-      single_reorder = std::make_unique<ReorderBuffer>(
-          EffectiveHorizon(config), [this](JFrame&& jf) {
-            Emit(std::move(jf));
-            if (config.use_arena) single_pool.Recycle(std::move(jf));
-          });
-      ReorderBuffer* reorder = single_reorder.get();
-      single_unifier = std::make_unique<Unifier>(
-          traces, bootstrap, config.unifier,
-          [this, reorder](JFrame&& jf) {
-            NoteCaptured(jf.timestamp);
-            reorder->Push(std::move(jf));
-          },
-          config.use_arena ? &single_pool : nullptr);
-      return;
-    }
     shards = traces.PartitionByChannel();
     partitioned = true;
     spill_budget.limit = config.max_spill_bytes;
@@ -403,7 +371,7 @@ struct MergeSession::Impl {
             NoteCaptured(jf.timestamp);
             reorder->Push(std::move(jf));
           },
-          config.use_arena ? &ls->pool : nullptr);
+          &ls->pool);
       if (!config.spill_dir.empty()) {
         ls->spill = std::make_unique<SpillQueue>(
             config.spill_dir,
@@ -434,7 +402,7 @@ struct MergeSession::Impl {
     while (!ls.queue.empty() && ls.spill->Push(ls.queue.front())) {
       // Push serialized without consuming; recycle the carcass (worker
       // thread, this shard's pool — the barrier orders it vs. emit).
-      if (config.use_arena) ls.pool.Recycle(std::move(ls.queue.front()));
+      ls.pool.Recycle(std::move(ls.queue.front()));
       ls.queue.pop_front();
       moved = true;
     }
@@ -442,10 +410,10 @@ struct MergeSession::Impl {
     return moved;
   }
 
-  // Steps one shard until it starves, exhausts, or its queue reaches the
-  // watermark (with the spill tier engaged, the queue drains to disk
-  // instead, so only budget exhaustion still hits the watermark).  Returns
-  // true if anything was consumed, produced or spilled.
+  // Steps one shard, `slice` groups at a time, until it starves, exhausts,
+  // or its queue holds `queue_cap` jframes (with the spill tier engaged, the
+  // queue drains to disk instead, so only budget exhaustion still hits the
+  // cap).  Returns true if anything was consumed, produced or spilled.
   //
   // The engage decision runs once, at round entry: a queue still at or
   // past the threshold *here* is what the consumer's last drain pass
@@ -453,7 +421,7 @@ struct MergeSession::Impl {
   // unifier runs is not lag (the consumer never gets to run mid-round),
   // so it must not engage the tier: otherwise a plain batch merge with a
   // spill_dir would stage its entire stream through disk in round one.
-  bool StepShard(LiveShard& ls) {
+  bool StepShard(LiveShard& ls, std::size_t slice, std::size_t queue_cap) {
     if (ls.exhausted) return false;
     // Metrics ride the stats deltas of the whole call — one pair of
     // counter adds per StepShard, nothing per event.
@@ -462,10 +430,10 @@ struct MergeSession::Impl {
     bool progress = MaybeSpill(ls);
     for (;;) {
       if (ls.spilling) progress = MaybeSpill(ls) || progress;
-      if (ls.queue.size() >= kMergeQueueWatermark) break;
+      if (ls.queue.size() >= queue_cap) break;
       const std::uint64_t before = ls.unifier->stats().events_in;
       const std::size_t queued = ls.queue.size();
-      const UnifyStep step = ls.unifier->Step(kUnifyStep);
+      const UnifyStep step = ls.unifier->Step(slice);
       progress = progress || ls.unifier->stats().events_in != before ||
                  ls.queue.size() != queued;
       if (step == UnifyStep::kStarved) break;
@@ -490,33 +458,10 @@ struct MergeSession::Impl {
   bool WorkerRound(unsigned w) {
     bool progress = false;
     for (std::size_t s = w; s < live.size(); s += workers) {
-      progress = StepShard(*live[s]) || progress;
+      progress = StepShard(*live[s], kUnifyStep, kMergeQueueWatermark) ||
+                 progress;
     }
     return progress;
-  }
-
-  // Best-effort round-robin CPU pinning for shard workers (Linux only;
-  // failure — a restricted affinity mask, fewer CPUs than advertised —
-  // falls back to normal scheduling).  Scheduling only: the round barrier
-  // fixes the merge order wherever the workers run.
-  void MaybePin(std::thread& t, unsigned index) {
-#if defined(__linux__)
-    if (!config.pin_threads) return;
-    unsigned ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0) ncpu = 1;
-    cpu_set_t cpus;
-    CPU_ZERO(&cpus);
-    CPU_SET(index % ncpu, &cpus);
-    // "Silently a no-op" (pipeline.h) means the pipeline keeps working, not
-    // that the failure is invisible: count rejections so a deployment that
-    // thinks it pinned (cgroup cpuset, restricted mask) can see it did not.
-    if (pthread_setaffinity_np(t.native_handle(), sizeof(cpus), &cpus) != 0) {
-      if (obs::Enabled()) Metrics().pin_failures.Add(1);
-    }
-#else
-    (void)t;
-    (void)index;
-#endif
   }
 
   void StartPool() {
@@ -547,7 +492,6 @@ struct MergeSession::Impl {
           }
         }
       });
-      MaybePin(pool.back(), w);
     }
   }
 
@@ -562,12 +506,20 @@ struct MergeSession::Impl {
     pool.clear();
   }
 
-  // Runs one round over every shard; returns whether any shard progressed.
+  // Runs one round; returns whether any shard progressed.  The pooled
+  // round steps every shard up to the watermark.  The inline round pulls:
+  // it steps only the shards that gate the merge (not exhausted, nothing
+  // consumable), each just until a head appears or it starves.  An inline
+  // shard is therefore only ever stepped with an empty queue, so the spill
+  // tier's round-entry check never sees lag and threads == 1 never spills.
   bool RunRound() {
     Metrics().rounds.Add(1);
     if (pool.empty()) {
       bool progress = false;
-      for (auto& ls : live) progress = StepShard(*ls) || progress;
+      for (auto& ls : live) {
+        if (ls->exhausted || ShardHead(*ls) != nullptr) continue;
+        progress = StepShard(*ls, kPullStep, 1) || progress;
+      }
       return progress;
     }
     std::unique_lock lk(pool_mu);
@@ -655,14 +607,11 @@ struct MergeSession::Impl {
       Emit(std::move(jf));  // user code runs on the Poll() thread
       // Recycle what the sink left behind into the source shard's pool
       // (merge phase: the barrier orders this vs. that shard's worker).
-      if (config.use_arena) live[best]->pool.Recycle(std::move(jf));
+      live[best]->pool.Recycle(std::move(jf));
     }
   }
 
   std::size_t Retained() const {
-    if (single_mode) {
-      return single_reorder != nullptr ? single_reorder->size() : 0;
-    }
     std::size_t total = 0;
     for (const auto& ls : live) {
       // Spilled jframes live on disk, not in memory — only the staged
@@ -699,17 +648,12 @@ struct MergeSession::Impl {
   // carcasses, delta-tracked counter for lifetime recycles).  Runs on the
   // Poll() thread between rounds, so reading the shard pools is safe.
   void PublishArenaMetrics() {
-    if (!obs::Enabled() || !config.use_arena) return;
+    if (!obs::Enabled()) return;
     std::uint64_t pooled = 0;
     std::uint64_t recycled = 0;
-    if (single_mode) {
-      pooled = single_pool.pooled();
-      recycled = single_pool.recycled_total();
-    } else {
-      for (const auto& ls : live) {
-        pooled += ls->pool.pooled();
-        recycled += ls->pool.recycled_total();
-      }
+    for (const auto& ls : live) {
+      pooled += ls->pool.pooled();
+      recycled += ls->pool.recycled_total();
     }
     PipelineMetrics& m = Metrics();
     m.arena_pooled.Set(static_cast<std::int64_t>(pooled));
@@ -721,24 +665,10 @@ struct MergeSession::Impl {
 
   // ---- polling ------------------------------------------------------------
 
-  Status PollSingle() {
-    for (;;) {
-      const UnifyStep step = single_unifier->Step(kUnifyStep);
-      ObserveRetention();
-      if (step == UnifyStep::kStarved) return Status::kStarved;
-      if (step == UnifyStep::kExhausted) {
-        single_reorder->Flush();
-        done = true;
-        return Status::kDone;
-      }
-    }
-  }
-
   Status PollInner() {
     Metrics().polls.Add(1);
     if (done) return Status::kDone;
     if (!bootstrapped && !TryBootstrap()) return Status::kBootstrapping;
-    if (single_mode) return PollSingle();
     for (;;) {
       const bool stepped = RunRound();
       ObserveRetention();
@@ -768,7 +698,6 @@ struct MergeSession::Impl {
   }
 
   UnifyStats Stats() const {
-    if (single_unifier != nullptr) return single_unifier->stats();
     UnifyStats total = final_stats;
     for (const auto& ls : live) total += ls->unifier->stats();
     return total;

@@ -7,13 +7,13 @@
 // is a single pass over each trace — the paper's efficiency requirement for
 // online operation.
 //
-// Parallel operation (threads != 1): bootstrap still runs globally (channel
-// bridging needs every monitor's shared clock), then the trace set is
-// partitioned by channel and one unifier runs per channel shard on a small
-// thread pool.  Shard outputs are recombined by a bounded k-way merge keyed
-// on (timestamp, channel) — the same total order the single-threaded reorder
-// buffer emits — so the parallel stream is byte-identical to the legacy
-// single-threaded stream.
+// Channel sharding: bootstrap runs globally (channel bridging needs every
+// monitor's shared clock), then the trace set is partitioned by channel and
+// one unifier runs per channel shard — on a small thread pool, or inline on
+// the calling thread when there is one worker.  Shard outputs are
+// recombined by a bounded k-way merge keyed on (timestamp, channel), so the
+// stream equals one global unifier's output stably sorted on that key, and
+// is byte-identical for every `threads` setting.
 //
 // Live operation: MergeSession is the resumable form of the same pipeline.
 // It runs against tail-follow trace sources (TailFileTrace) that are still
@@ -47,11 +47,11 @@ struct MergeConfig {
   // the effective horizon is max(reorder_horizon, 2 * search_window), since
   // a group's median timestamp can trail its seed by a full window.
   Micros reorder_horizon = Milliseconds(50);
-  // Worker threads unifying channel shards.  1 = the exact legacy
-  // single-threaded path; 0 = auto (one worker per channel shard, capped by
-  // the hardware); N caps the pool at N workers, which then interleave the
-  // shards cooperatively.  Every setting produces a byte-identical jframe
-  // stream.
+  // Worker threads unifying channel shards.  1 = no pool: the Poll()
+  // thread steps the shards inline, each only as far as the k-way merge
+  // needs; 0 = auto (one worker per channel shard, capped by the hardware);
+  // N caps the pool at N workers, which then interleave the shards
+  // cooperatively.  Every setting produces a byte-identical jframe stream.
   unsigned threads = 1;
   // ---- on-disk spill tier (sharded paths; see src/jigsaw/spill.h and
   // docs/ARCHITECTURE.md, "The spill tier") -------------------------------
@@ -68,8 +68,9 @@ struct MergeConfig {
   // the directory should be private to one session.
   // Spilling leaves the emitted stream byte-identical: on, off, or
   // engaging/disengaging mid-stream, for every `threads` setting (pinned in
-  // tests/spill_test.cc).  The single-threaded path (threads == 1) has no
-  // shard queues and therefore never spills.
+  // tests/spill_test.cc).  With one worker (threads == 1, or one channel)
+  // a shard is only stepped while its queue is empty, so the tier never
+  // engages.
   std::filesystem::path spill_dir;
   // Queue depth that engages the spill tier.  Validated at entry when
   // spill_dir is set: must be positive and no larger than
@@ -80,17 +81,6 @@ struct MergeConfig {
   // pipeline degrades to the plain watermark backpressure it has without a
   // spill tier.
   std::uint64_t max_spill_bytes = 0;
-  // Recycle emitted jframe carcasses through per-unifier JFramePools so the
-  // steady-state merge allocates nothing per jframe (body/instance buffers
-  // circulate).  Purely an allocation-strategy knob: the emitted stream is
-  // byte-identical on or off, for every `threads` setting (pinned in
-  // tests/pipeline_test.cc).
-  bool use_arena = true;
-  // Pin shard worker threads round-robin across CPUs (Linux:
-  // pthread_setaffinity_np; elsewhere, and on failure, silently a no-op).
-  // Scheduling only — the round barrier fixes the merge order regardless of
-  // where workers run, so the stream stays byte-identical.
-  bool pin_threads = false;
 };
 
 // Throws std::invalid_argument on inconsistent configuration (today:
@@ -118,7 +108,7 @@ MergeStreamStats MergeTracesStreaming(TraceSet& traces,
                                       const MergeConfig& config,
                                       std::function<void(JFrame&&)> sink);
 
-// Per-shard buffering bound of the parallel paths: a shard whose output
+// Per-shard buffering bound of the pooled rounds: a shard whose output
 // queue holds this many jframes stops unifying until the consumer drains
 // it, so retention stays bounded even when one radio lags far behind the
 // rest (the lagging shard gates emission; the others throttle here).
@@ -187,7 +177,7 @@ class MergeSession {
   // bounded-retention guarantee under starved/uneven sources.
   std::size_t retained_jframes() const;
   std::size_t peak_retained_jframes() const;
-  // Spill-tier counters (always 0 with spilling disabled or threads == 1):
+  // Spill-tier counters (always 0 with spilling disabled or one worker):
   // lifetime jframes staged through disk, and the current on-disk footprint
   // of not-yet-reclaimed segments.
   std::uint64_t spilled_jframes() const;

@@ -26,6 +26,7 @@
 #include "jigsaw/distributed.h"
 #include "jigsaw/pipeline.h"
 #include "obs/metrics.h"
+#include "reference_merge.h"
 #include "synthetic.h"
 #include "trace/net.h"
 #include "trace/socket_trace.h"
@@ -41,6 +42,7 @@ namespace fs = std::filesystem;
 using testing::ExpectEqualStats;
 using testing::ExpectIdenticalStreams;
 using testing::MultiChannelNetwork;
+using testing::ReferenceMerge;
 
 CaptureRecord MakeRecord(LocalMicros ts) {
   CaptureRecord rec;
@@ -395,9 +397,9 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
   const fs::path all = dir_ / "all";
   const auto paths = mem.WriteDirectory(all);
 
-  // The single-node reference: the legacy-exact threads=1 batch merge.
+  // The single-node reference: the independent reference merge.
   TraceSet full = TraceSet::OpenDirectory(all);
-  const MergeResult batch = MergeTraces(full, MergeConfig{});
+  const MergeResult batch = ReferenceMerge(full);
   ASSERT_GT(batch.jframes.size(), 100u);
 
   // Split radios {0,1,2} | {3,4,5} across two wings.  Radios sharing a
@@ -580,9 +582,9 @@ TEST_F(DistributedTest, RedialWithSameSourceResumesInsteadOfDuplicating) {
   const fs::path all = dir_ / "all";
   mem.WriteDirectory(all);
 
-  // Reference: single-node batch merge of the same (quantized) files.
+  // Reference: single-node reference merge of the same (quantized) files.
   TraceSet full = TraceSet::OpenDirectory(all);
-  const MergeResult batch = MergeTraces(full, MergeConfig{});
+  const MergeResult batch = ReferenceMerge(full);
   ASSERT_GT(batch.jframes.size(), 50u);
 
   // Re-read each radio's records for the senders.

@@ -20,6 +20,7 @@
 #include "jigsaw/link.h"
 #include "jigsaw/pipeline.h"
 #include "link_equality.h"
+#include "reference_merge.h"
 #include "synthetic.h"
 #include "trace/tail_trace.h"
 #include "trace/trace_set.h"
@@ -98,11 +99,11 @@ LiveRun RunLiveSession(const fs::path& dir, std::size_t radios,
   return run;
 }
 
-MergeResult BatchMerge(const fs::path& dir, unsigned threads = 1) {
+// The batch side of every live ≡ batch pin: the independent reference
+// merge over the finished files.
+MergeResult BatchMerge(const fs::path& dir) {
   TraceSet traces = TraceSet::OpenDirectory(dir);
-  MergeConfig cfg;
-  cfg.threads = threads;
-  return MergeTraces(traces, cfg);
+  return testing::ReferenceMerge(traces);
 }
 
 class LiveIngestTest : public ::testing::Test {
@@ -152,7 +153,7 @@ TEST_P(LiveVsBatch, ByteIdenticalToBatchOfFinishedFiles) {
   const LiveRun live = RunLiveSession(dir_, n, threads);
   writer_thread.join();
 
-  const MergeResult batch = BatchMerge(dir_);  // threads=1 legacy reference
+  const MergeResult batch = BatchMerge(dir_);
   ASSERT_GT(batch.jframes.size(), 100u);
   ExpectIdenticalStreams(live.jframes, batch.jframes);
   ExpectEqualStats(live.stats.stats, batch.stats);

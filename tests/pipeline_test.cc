@@ -1,16 +1,18 @@
 // Merge-pipeline tests: configuration validation, shard-mergeable stats,
-// channel partitioning, and the parallel determinism contract — the
-// channel-sharded merge (threads=N) must emit a stream byte-identical to
-// the legacy single-threaded merge (threads=1).
+// channel partitioning, and the determinism contract — the channel-sharded
+// merge must emit, for every `threads` setting, a stream byte-identical to
+// the independent reference merge (reference_merge.h).
 #include "jigsaw/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "jframe_equality.h"
+#include "reference_merge.h"
 #include "sim/scenario.h"
 #include "synthetic.h"
 
@@ -20,6 +22,7 @@ namespace {
 using testing::ExpectEqualStats;
 using testing::ExpectIdenticalStreams;
 using testing::MultiChannelNetwork;
+using testing::ReferenceMerge;
 
 TEST(MergeConfigValidation, RejectsHorizonNotExceedingSearchWindow) {
   TraceSet empty;
@@ -76,15 +79,14 @@ TEST(UnifyStatsTest, OperatorPlusEqualsSumsEveryCounter) {
 }
 
 TEST(UnifyStatsTest, ShardMergedStatsEqualSinglePass) {
-  // The parallel path sums per-shard UnifyStats with operator+=; the sum
-  // must equal the stats of the legacy single-queue pass over the same
+  // The sharded merge sums per-shard UnifyStats with operator+=; the sum
+  // must equal the stats of one global unifier pass over the same
   // multi-channel scenario.
   auto single_traces = MultiChannelNetwork(11).Build();
   auto sharded_traces = MultiChannelNetwork(11).Build();
-  MergeConfig single_cfg;  // threads = 1
   MergeConfig sharded_cfg;
   sharded_cfg.threads = 3;
-  const auto single = MergeTraces(single_traces, single_cfg);
+  const auto single = ReferenceMerge(single_traces);
   const auto sharded = MergeTraces(sharded_traces, sharded_cfg);
   ASSERT_GT(single.stats.jframes, 100u);
   ExpectEqualStats(single.stats, sharded.stats);
@@ -146,10 +148,10 @@ class ParallelDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ParallelDeterminism, ByteIdenticalAcrossThreadCounts) {
   const std::uint64_t seed = GetParam();
   auto base_traces = MultiChannelNetwork(seed).Build();
-  const auto base = MergeTraces(base_traces);  // threads = 1 (legacy)
+  const auto base = ReferenceMerge(base_traces);
   ASSERT_GT(base.jframes.size(), 100u);
 
-  for (unsigned threads : {2u, 3u, 0u}) {
+  for (unsigned threads : {1u, 2u, 3u, 0u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     auto traces = MultiChannelNetwork(seed).Build();
     MergeConfig cfg;
@@ -165,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism,
 
 // The observability contract: metrics are write-only from the pipeline's
 // point of view, so toggling the registry on/off must not change a single
-// emitted byte — in the legacy single-threaded path or the sharded one.
+// emitted byte — with the shards stepped inline or on a worker pool.
 TEST(MetricsDeterminism, StreamIsByteIdenticalWithMetricsToggled) {
   for (unsigned threads : {1u, 3u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -187,9 +189,9 @@ TEST(MetricsDeterminism, StreamIsByteIdenticalWithMetricsToggled) {
   }
 }
 
-TEST(ParallelMerge, ScenarioStreamMatchesLegacy) {
+TEST(ParallelMerge, ScenarioStreamMatchesReference) {
   // End-to-end on the full simulator (39-pod channel plan 1/6/1/11): the
-  // sharded merge must reproduce the legacy stream exactly.
+  // sharded merge must reproduce the reference stream exactly.
   ScenarioConfig cfg;
   cfg.seed = 77;
   cfg.duration = Seconds(2);
@@ -199,73 +201,64 @@ TEST(ParallelMerge, ScenarioStreamMatchesLegacy) {
   scenario.Run();
   auto traces = scenario.TakeTraces();
 
-  const auto legacy = MergeTraces(traces);
+  const auto reference = ReferenceMerge(traces);
   MergeConfig pcfg;
   pcfg.threads = 0;  // auto
   const auto parallel = MergeTraces(traces, pcfg);
-  ASSERT_GT(legacy.jframes.size(), 500u);
-  ExpectIdenticalStreams(legacy.jframes, parallel.jframes);
-  ExpectEqualStats(legacy.stats, parallel.stats);
+  ASSERT_GT(reference.jframes.size(), 500u);
+  ExpectIdenticalStreams(reference.jframes, parallel.jframes);
+  ExpectEqualStats(reference.stats, parallel.stats);
   // The trace set must be usable again after the parallel run (partition
   // is reversed internally): a third merge sees the same stream.
   const auto again = MergeTraces(traces, pcfg);
-  ExpectIdenticalStreams(legacy.jframes, again.jframes);
+  ExpectIdenticalStreams(reference.jframes, again.jframes);
 }
 
-// The performance-knob matrix: arena recycling and thread count are pure
-// speed knobs — every combination must emit the stream the defaults emit,
-// byte for byte.  The traces go through a .jigt round trip so the merge
-// reads them through the file reader.
-TEST(PerfKnobMatrix, ByteIdenticalAcrossArenaThreads) {
+// The performance-knob matrix: thread count is a pure speed knob — every
+// setting must emit the reference stream, byte for byte.  The traces go
+// through a .jigt round trip so the merge reads them through the file
+// reader.
+TEST(PerfKnobMatrix, ByteIdenticalAcrossThreads) {
   namespace fs = std::filesystem;
   auto mem_traces = MultiChannelNetwork(21).Build();
-  const auto base = MergeTraces(mem_traces);  // threads=1, defaults
+  const auto base = ReferenceMerge(mem_traces);
   ASSERT_GT(base.jframes.size(), 100u);
   const fs::path dir =
       fs::temp_directory_path() / "jig_pipeline_knob_matrix";
   fs::remove_all(dir);
   mem_traces.WriteDirectory(dir);
 
-  for (bool use_arena : {false, true}) {
-    for (unsigned threads : {1u, 2u, 0u}) {
-      SCOPED_TRACE("arena=" + std::to_string(use_arena) +
-                   " threads=" + std::to_string(threads));
-      TraceSet traces = TraceSet::OpenDirectory(dir);
-      ASSERT_EQ(traces.size(), mem_traces.size());
-      MergeConfig cfg;
-      cfg.threads = threads;
-      cfg.use_arena = use_arena;
-      const auto result = MergeTraces(traces, cfg);
-      ExpectIdenticalStreams(base.jframes, result.jframes);
-      ExpectEqualStats(base.stats, result.stats);
-    }
+  for (unsigned threads : {1u, 2u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TraceSet traces = TraceSet::OpenDirectory(dir);
+    ASSERT_EQ(traces.size(), mem_traces.size());
+    MergeConfig cfg;
+    cfg.threads = threads;
+    const auto result = MergeTraces(traces, cfg);
+    ExpectIdenticalStreams(base.jframes, result.jframes);
+    ExpectEqualStats(base.stats, result.stats);
   }
   fs::remove_all(dir);
 }
 
-// pin_threads only nails workers to CPUs; the round barrier fixes the
-// merge order wherever they run, so the stream must not move by a byte.
-TEST(PerfKnobMatrix, PinnedWorkersMatchUnpinnedStream) {
-  auto base_traces = MultiChannelNetwork(23).Build();
-  const auto base = MergeTraces(base_traces);
-  ASSERT_GT(base.jframes.size(), 100u);
-  for (unsigned threads : {2u, 0u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto traces = MultiChannelNetwork(23).Build();
-    MergeConfig cfg;
-    cfg.threads = threads;
-    cfg.pin_threads = true;
-    const auto pinned = MergeTraces(traces, cfg);
-    ExpectIdenticalStreams(base.jframes, pinned.jframes);
-    ExpectEqualStats(base.stats, pinned.stats);
-  }
-  // The pinning path must report rejected affinity calls instead of
-  // swallowing the return value: the failure counter is registered (even if
-  // zero on an unrestricted machine), so a cpuset-restricted deployment can
-  // tell "pinned" from "silently fell back".
-  const auto snapshot = obs::MetricRegistry::Global().Collect();
-  ASSERT_NE(snapshot.Find("jig_pipeline_pin_failures_total"), nullptr);
-  EXPECT_GE(snapshot.Value("jig_pipeline_pin_failures_total"), 0);
+// Time to first output with one worker: the inline round steps only the
+// shards that gate the k-way merge, so a cold batch session starts emitting
+// early instead of unifying every shard's whole available prefix first.
+TEST(ParallelMerge, InlineMergeEmitsBeforeHalfTheInput) {
+  auto traces = MultiChannelNetwork(31).Build();
+  MergeConfig cfg;
+  cfg.threads = 1;
+  std::optional<std::uint64_t> events_at_first;
+  MergeSession session(traces, cfg, [&](JFrame&&) {
+    if (!events_at_first) events_at_first = session.stats().events_in;
+  });
+  ASSERT_EQ(session.Poll(), MergeSession::Status::kDone);
+  const std::uint64_t total = session.stats().events_in;
+  ASSERT_GT(session.jframes_emitted(), 100u);
+  ASSERT_TRUE(events_at_first.has_value());
+  EXPECT_LT(2 * *events_at_first, total)
+      << "first jframe after " << *events_at_first << " of " << total
+      << " events";
 }
 
 TEST(ParallelMerge, SinkRunsOnCallingThread) {

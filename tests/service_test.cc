@@ -25,6 +25,7 @@
 #include "jigsaw/service.h"
 #include "jigsaw/spill.h"
 #include "obs/metrics.h"
+#include "reference_merge.h"
 #include "synthetic.h"
 #include "trace/trace_set.h"
 #include "util/byte_io.h"
@@ -220,17 +221,15 @@ TEST_F(ServiceTest, CheckpointCorruptionIsDetected) {
 TEST_F(ServiceTest, LogMatchesDirectMerge) {
   const fs::path traces = WriteTraces(41);
 
-  // Reference: the plain batch merge over the same directory.
+  // Reference: the independent reference merge over the same directory.
   Bytes expect_bytes;
   std::size_t expect_count = 0;
   {
     TraceSet set = TraceSet::OpenDirectory(traces);
-    MergeConfig mcfg;
-    MergeSession session(set, mcfg, [&](JFrame&& jf) {
+    for (const JFrame& jf : testing::ReferenceMerge(set).jframes) {
       SerializeJFrame(jf, expect_bytes);
       ++expect_count;
-    });
-    session.Drain();
+    }
   }
   ASSERT_GT(expect_count, 100u);
 

@@ -20,6 +20,7 @@
 #include "jframe_equality.h"
 #include "jigsaw/pipeline.h"
 #include "jigsaw/spill.h"
+#include "reference_merge.h"
 #include "synthetic.h"
 #include "trace/trace_set.h"
 
@@ -30,6 +31,7 @@ namespace fs = std::filesystem;
 using testing::ExpectEqualStats;
 using testing::ExpectIdenticalStreams;
 using testing::MultiChannelNetwork;
+using testing::ReferenceMerge;
 
 JFrame SampleJFrame(int salt) {
   JFrame jf;
@@ -224,9 +226,9 @@ class SpillDeterminism : public SpillTest,
 
 TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
   const unsigned threads = GetParam();
-  // The reference: legacy single-threaded merge, no spill.
+  // The reference: one global unifier pass, no shards, no spill.
   TraceSet reference_traces = MultiChannelNetwork(77).Build();
-  const MergeResult reference = MergeTraces(reference_traces);
+  const MergeResult reference = ReferenceMerge(reference_traces);
   ASSERT_GT(reference.jframes.size(), 100u);
 
   // The tier engages on actual lag (queue residue at worker-round entry),
@@ -234,7 +236,7 @@ TEST_P(SpillDeterminism, ByteIdenticalAcrossSpillModes) {
   // disk — SpillLaggard pins that the disk path really runs under lag.
   // Here the pin is the determinism contract: whatever each threshold
   // makes the tier do (including engaging and disengaging mid-stream),
-  // the stream must be byte-identical to the no-spill legacy reference.
+  // the stream must be byte-identical to the no-spill reference.
   const SpillMode modes[] = {
       {"disabled", false, 0},
       {"forced", true, 1},     // any round residue at all rides the disk
@@ -364,7 +366,7 @@ TEST_P(SpillLaggard, SpillsWhileGatedAndDrainsByteIdentical) {
   EXPECT_EQ(session.spill_bytes_on_disk(), 0u);
 
   TraceSet batch_traces = TraceSet::OpenDirectory(trace_dir);
-  const MergeResult batch = MergeTraces(batch_traces);
+  const MergeResult batch = ReferenceMerge(batch_traces);
   ASSERT_GT(batch.jframes.size(), 100u);
   ExpectIdenticalStreams(streamed, batch.jframes);
   ExpectEqualStats(session.stats(), batch.stats);
@@ -408,7 +410,7 @@ TEST_F(SpillTest, BudgetExhaustionDegradesToWatermarkBackpressure) {
   }
 
   TraceSet batch_traces = TraceSet::OpenDirectory(trace_dir);
-  const MergeResult batch = MergeTraces(batch_traces);
+  const MergeResult batch = ReferenceMerge(batch_traces);
   ExpectIdenticalStreams(streamed, batch.jframes);
 }
 
