@@ -8,7 +8,7 @@
 //   jigtool demo-live <dir> [s] [ms]  simulate, then *write the traces
 //                                   incrementally* (Sync every chunk,
 //                                   finalize at the end) — a stand-in live
-//                                   writer for --follow consumers
+//                                   writer for `jigtool serve`
 //   jigtool info <dir>              per-radio record counts and clock info
 //   jigtool merge <dir> [threads] [--spill-dir <sdir>]
 //                 [--spill-threshold <n>] [--stats-json <file>]
@@ -21,15 +21,6 @@
 //                                   depth that engages the tier;
 //                                   --stats-json writes the pipeline metric
 //                                   registry as JSON after the run)
-//   jigtool follow <dir> [radios] [threads] [--spill-dir <sdir>]
-//                                   tail a directory that is still being
-//                                   written: resumable MergeSession +
-//                                   analysis bus, merge summary at the end
-//   jigtool stats <dir> [interval_s] [--stats-json <file>]
-//                                   run (or tail) the merge and expose the
-//                                   metric registry in Prometheus text
-//                                   format — every interval_s while live,
-//                                   once more when done
 //   jigtool inspect-spill <dir>     decode the spill segments in a directory
 //                                   per docs/FORMATS.md (a living check that
 //                                   the spec matches the code)
@@ -97,18 +88,22 @@
 //                                   have.
 //
 // Exit codes: 0 success, 1 unreadable/missing input or unreachable peer,
-// 2 usage error, 3 corrupt or truncated input (inspect-spill, stats, and
-// every network door — a mid-stream disconnect is truncation).  serve
-// follows the same contract: an unloadable .jigc checkpoint or a
-// deployment that ends failed is 3; a missing trace directory is 1; a
-// SIGTERM'd daemon exits 0 after its final snapshot flush.
+// 2 usage error, 3 corrupt or truncated input (merge, info, timeline,
+// inspect-spill, and every network door — a mid-stream disconnect is
+// truncation).  serve follows the same contract: an unloadable .jigc
+// checkpoint, a corrupt trace or a deployment that ends failed is 3; a
+// missing trace directory is 1; a SIGTERM'd daemon exits 0 after its
+// final snapshot flush.
 //
-// The merge, follow and timeline commands run the streaming pipeline into
-// the analysis bus — one pass over the traces feeds every analysis at once.
-// merge/follow are fully windowed (link, interference and TCP loss ride the
+// The merge and timeline commands run the streaming pipeline into the
+// analysis bus — one pass over the traces feeds every analysis at once.
+// merge is fully windowed (link, interference and TCP loss ride the
 // incremental reconstructor; memory stays O(exchange-timeout window));
 // timeline opts into the collector buffer because rendering needs the
-// whole jframe vector.
+// whole jframe vector.  `serve` is the one door for a directory that is
+// still being written: its snapshot.json carries the lag, retained
+// jframes and Figure 9 / Figure 11 aggregates (with --analysis), and its
+// metrics.prom the whole metric registry.
 //
 // Usage: ./build/examples/jigtool <command> <trace_dir> [args]
 #include <algorithm>
@@ -156,8 +151,8 @@ int CmdDemo(const char* dir) {
 
 // Replays a simulated capture as a live writer: the traces are appended in
 // capture-time chunks with a Sync (block cut + flush) after each, so a
-// concurrent `jigtool follow` / `live_monitor --follow` sees the files
-// grow; every trace is finalized at the end.
+// concurrent `jigtool serve` sees the files grow; every trace is finalized
+// at the end.
 int CmdDemoLive(const char* dir, long seconds, long chunk_wall_ms) {
   ScenarioConfig config;
   config.seed = 10;
@@ -352,135 +347,102 @@ int CmdServeTrace(const char* file, const char* host, long port) {
 // the ingest half of a collector: network in, seekable files out.
 int CmdCollect(const char* out_dir, long port, long n,
                const char* ready_file) {
-  try {
-    net::Listener listener("127.0.0.1", static_cast<std::uint16_t>(port));
-    std::printf("collecting %ld streams on 127.0.0.1:%u ...\n", n,
-                listener.port());
-    if (ready_file != nullptr) {
-      // The listener is bound: senders may dial from here on.  Atomic, so
-      // a poller never reads a half-written port number.
-      obs::WriteFileAtomic(ready_file, std::to_string(listener.port()));
-    }
-    TraceSet traces = AcceptTraces(listener, static_cast<std::size_t>(n));
-    std::filesystem::create_directories(out_dir);
-    std::vector<std::unique_ptr<TraceFileWriter>> writers;
-    std::vector<SocketTrace*> sockets;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      auto& st = dynamic_cast<SocketTrace&>(traces.at(i));
-      sockets.push_back(&st);
-      writers.push_back(std::make_unique<TraceFileWriter>(
-          std::filesystem::path(out_dir) /
-              ("r" + std::to_string(st.header().radio) + ".jigt"),
-          st.header()));
-    }
-    std::vector<bool> done(traces.size(), false);
-    std::vector<std::uint64_t> written(traces.size(), 0);
-    for (;;) {
-      bool all_done = true;
-      bool progress = false;
-      for (std::size_t i = 0; i < traces.size(); ++i) {
-        if (done[i]) continue;
-        while (const CaptureRecord* rec = sockets[i]->NextRef()) {
-          writers[i]->Append(*rec);
-          ++written[i];
-          progress = true;
-        }
-        if (sockets[i]->Finalized()) {
-          writers[i]->Finish();
-          done[i] = true;
-          std::printf("  r%u finalized: %llu records\n",
-                      sockets[i]->header().radio,
-                      static_cast<unsigned long long>(written[i]));
-          progress = true;
-        } else {
-          all_done = false;
-        }
-      }
-      if (all_done) break;
-      if (!progress) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    }
-    std::printf("collected %zu traces into %s\n", traces.size(), out_dir);
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated stream: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt stream: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  net::Listener listener("127.0.0.1", static_cast<std::uint16_t>(port));
+  std::printf("collecting %ld streams on 127.0.0.1:%u ...\n", n,
+              listener.port());
+  if (ready_file != nullptr) {
+    // The listener is bound: senders may dial from here on.  Atomic, so
+    // a poller never reads a half-written port number.
+    obs::WriteFileAtomic(ready_file, std::to_string(listener.port()));
   }
+  TraceSet traces = AcceptTraces(listener, static_cast<std::size_t>(n));
+  std::filesystem::create_directories(out_dir);
+  std::vector<std::unique_ptr<TraceFileWriter>> writers;
+  std::vector<SocketTrace*> sockets;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    auto& st = dynamic_cast<SocketTrace&>(traces.at(i));
+    sockets.push_back(&st);
+    writers.push_back(std::make_unique<TraceFileWriter>(
+        std::filesystem::path(out_dir) /
+            ("r" + std::to_string(st.header().radio) + ".jigt"),
+        st.header()));
+  }
+  std::vector<bool> done(traces.size(), false);
+  std::vector<std::uint64_t> written(traces.size(), 0);
+  for (;;) {
+    bool all_done = true;
+    bool progress = false;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      if (done[i]) continue;
+      while (const CaptureRecord* rec = sockets[i]->NextRef()) {
+        writers[i]->Append(*rec);
+        ++written[i];
+        progress = true;
+      }
+      if (sockets[i]->Finalized()) {
+        writers[i]->Finish();
+        done[i] = true;
+        std::printf("  r%u finalized: %llu records\n",
+                    sockets[i]->header().radio,
+                    static_cast<unsigned long long>(written[i]));
+        progress = true;
+      } else {
+        all_done = false;
+      }
+    }
+    if (all_done) break;
+    if (!progress) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  std::printf("collected %zu traces into %s\n", traces.size(), out_dir);
+  return 0;
 }
 
 // Wing node: relays every radio's record stream in a trace directory to
 // the root (docs/ARCHITECTURE.md, two-level topology).
 int CmdWing(const char* dir, const char* root_host, long root_port,
             long wing_id) {
-  try {
-    TraceSet traces = TraceSet::OpenDirectory(dir);
-    if (traces.empty()) {
-      std::fprintf(stderr, "no .jigt files in %s\n", dir);
-      return 1;
-    }
-    WingConfig cfg;
-    cfg.wing_id = static_cast<std::uint32_t>(wing_id);
-    cfg.root_host = root_host;
-    cfg.root_port = static_cast<std::uint16_t>(root_port);
-    WingSession wing(traces, cfg);
-    wing.Run();
-    std::printf("wing %ld: relayed %llu records from %zu radios "
-                "(%llu uplink bytes)\n",
-                wing_id,
-                static_cast<unsigned long long>(wing.records_relayed()),
-                traces.size(),
-                static_cast<unsigned long long>(wing.bytes_relayed()));
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated input: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt input: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+  TraceSet traces = TraceSet::OpenDirectory(dir);
+  if (traces.empty()) {
+    std::fprintf(stderr, "no .jigt files in %s\n", dir);
     return 1;
   }
+  WingConfig cfg;
+  cfg.wing_id = static_cast<std::uint32_t>(wing_id);
+  cfg.root_host = root_host;
+  cfg.root_port = static_cast<std::uint16_t>(root_port);
+  WingSession wing(traces, cfg);
+  wing.Run();
+  std::printf("wing %ld: relayed %llu records from %zu radios "
+              "(%llu uplink bytes)\n",
+              wing_id,
+              static_cast<unsigned long long>(wing.records_relayed()),
+              traces.size(),
+              static_cast<unsigned long long>(wing.bytes_relayed()));
+  return 0;
 }
 
 // Root node: global merge over every wing's relayed radio streams.
 int CmdRoot(long port, long n, unsigned threads, const char* spill_dir) {
-  try {
-    RootConfig cfg;
-    cfg.port = static_cast<std::uint16_t>(port);
-    cfg.n_streams = static_cast<std::size_t>(n);
-    cfg.merge.threads = threads;
-    if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
-    RootSession root(cfg);
-    std::printf("root: accepting %ld streams on 127.0.0.1:%u ...\n", n,
-                root.port());
-    const auto stats = root.Run([](JFrame&&) {});
-    std::printf("radios synced:     %zu/%zu\n",
-                stats.bootstrap.SyncedCount(), stats.bootstrap.synced.size());
-    std::printf("jframes:           %llu (%llu across wing boundaries)\n",
-                static_cast<unsigned long long>(root.jframes()),
-                static_cast<unsigned long long>(root.boundary_jframes()));
-    std::printf("events:            %llu (%llu valid)\n",
-                static_cast<unsigned long long>(stats.stats.events_in),
-                static_cast<unsigned long long>(stats.stats.valid_in));
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated stream: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt stream: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  RootConfig cfg;
+  cfg.port = static_cast<std::uint16_t>(port);
+  cfg.n_streams = static_cast<std::size_t>(n);
+  cfg.merge.threads = threads;
+  if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
+  RootSession root(cfg);
+  std::printf("root: accepting %ld streams on 127.0.0.1:%u ...\n", n,
+              root.port());
+  const auto stats = root.Run([](JFrame&&) {});
+  std::printf("radios synced:     %zu/%zu\n",
+              stats.bootstrap.SyncedCount(), stats.bootstrap.synced.size());
+  std::printf("jframes:           %llu (%llu across wing boundaries)\n",
+              static_cast<unsigned long long>(root.jframes()),
+              static_cast<unsigned long long>(root.boundary_jframes()));
+  std::printf("events:            %llu (%llu valid)\n",
+              static_cast<unsigned long long>(stats.stats.events_in),
+              static_cast<unsigned long long>(stats.stats.valid_in));
+  return 0;
 }
 
 // SIGTERM/SIGINT door for `jigtool serve`: the handler only sets a flag;
@@ -700,157 +662,6 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
   return 0;
 }
 
-// Tails a directory of growing traces with a resumable MergeSession and
-// prints periodic Figure 9/11 snapshots; once every writer finalizes, the
-// summary is identical to `jigtool merge` over the finished files (the
-// live stream is byte-identical to the batch stream by construction).
-int CmdFollow(const char* dir, std::size_t radios, unsigned threads,
-              const char* spill_dir, long spill_threshold) {
-  std::printf("following %s ...\n", dir);
-  TraceSet traces = TraceSet::FollowDirectory(dir, radios);
-  std::printf("tailing %zu traces\n", traces.size());
-
-  AnalysisBus bus;
-  auto& link = bus.Emplace<LinkConsumer>();
-  auto& interference = bus.Emplace<InterferenceConsumer>(link);
-  auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
-  auto& dispersion = bus.Emplace<DispersionConsumer>();
-  MergeConfig cfg;
-  cfg.threads = threads;
-  if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
-  if (spill_threshold > 0) {
-    cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
-  }
-  MergeSession session(traces, cfg, bus.Sink());
-
-  auto last_snapshot = std::chrono::steady_clock::now();
-  for (;;) {
-    const auto status = session.Poll();
-    if (status == MergeSession::Status::kDone) break;
-    const auto now = std::chrono::steady_clock::now();
-    if (session.bootstrapped() &&
-        now - last_snapshot >= std::chrono::seconds(1)) {
-      const auto fig9 = interference.SnapshotReport();
-      const auto fig11 = tcp_loss.SnapshotReport();
-      std::printf("  [live] %llu jframes | fig9 %zu pairs (%.1f%% "
-                  "interfered) | fig11 %llu flows loss %.4f | "
-                  "%zu retained, %llu spilled\n",
-                  static_cast<unsigned long long>(session.jframes_emitted()),
-                  fig9.pairs.size(),
-                  100.0 * fig9.fraction_pairs_interfered,
-                  static_cast<unsigned long long>(fig11.flows_considered),
-                  fig11.aggregate_loss_rate, session.retained_jframes(),
-                  static_cast<unsigned long long>(
-                      session.spilled_jframes()));
-      last_snapshot = now;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  bus.Finish();
-
-  const auto st = session.stats();
-  std::printf("radios synced:     %zu/%zu\n",
-              session.bootstrap().SyncedCount(),
-              session.bootstrap().synced.size());
-  std::printf("events:            %llu (%llu valid, %llu FCS-err, %llu "
-              "PHY-err)\n",
-              static_cast<unsigned long long>(st.events_in),
-              static_cast<unsigned long long>(st.valid_in),
-              static_cast<unsigned long long>(st.fcs_error_in),
-              static_cast<unsigned long long>(st.phy_error_in));
-  std::printf("jframes:           %llu (%.2f events each, %llu resyncs)\n",
-              static_cast<unsigned long long>(st.jframes),
-              st.EventsPerJframe(),
-              static_cast<unsigned long long>(st.resyncs));
-  if (!dispersion.distribution().empty()) {
-    std::printf("sync dispersion:   p50 %.0f us, p90 %.0f us, p99 %.0f us\n",
-                dispersion.distribution().Quantile(0.50),
-                dispersion.distribution().Quantile(0.90),
-                dispersion.distribution().Quantile(0.99));
-  }
-  std::printf("interference:      %zu (s,r) pairs, %.1f%% interfered\n",
-              interference.report().pairs.size(),
-              100.0 * interference.report().fraction_pairs_interfered);
-  std::printf("tcp loss:          %llu flows, %.4f aggregate "
-              "(%.4f wireless / %.4f wired)\n",
-              static_cast<unsigned long long>(
-                  tcp_loss.report().flows_considered),
-              tcp_loss.report().aggregate_loss_rate,
-              tcp_loss.report().aggregate_wireless_rate,
-              tcp_loss.report().aggregate_wired_rate);
-  std::printf("live retention:    peak %zu jframes buffered, %llu spilled "
-              "to disk\n",
-              session.peak_retained_jframes(),
-              static_cast<unsigned long long>(session.spilled_jframes()));
-  return 0;
-}
-
-// Runs (or tails) the merge over a directory and exposes the pipeline
-// metric registry in Prometheus text format: one dump every `interval_s`
-// while the run is live, and a final dump once it completes.  With
-// --stats-json the final snapshot is also written as JSON.  Works on
-// finalized and still-growing directories alike (FollowDirectory tails
-// both).
-int CmdStats(const char* dir, long interval_s, const char* stats_json) {
-  namespace fs = std::filesystem;
-  // Pre-check the directory so missing input fails fast instead of
-  // spending FollowDirectory's settle timeout.
-  std::error_code ec;
-  bool any_trace = false;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".jigt") {
-      any_trace = true;
-      break;
-    }
-  }
-  if (ec || !any_trace) {
-    std::fprintf(stderr, "no .jigt files in %s\n", dir);
-    return 1;
-  }
-  if (interval_s <= 0) interval_s = 1;
-  try {
-    TraceSet traces = TraceSet::FollowDirectory(dir);
-    // Register the stock analysis chain so the bus/consumer metrics tick:
-    // a stats run should expose the same stages a real merge exercises.
-    AnalysisBus bus;
-    auto& link = bus.Emplace<LinkConsumer>();
-    bus.Emplace<InterferenceConsumer>(link);
-    bus.Emplace<TcpLossConsumer>(link);
-    MergeConfig cfg;
-    MergeSession session(traces, cfg, bus.Sink());
-    auto last_dump = std::chrono::steady_clock::now();
-    for (;;) {
-      const auto status = session.Poll();
-      if (status == MergeSession::Status::kDone) break;
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_dump >= std::chrono::seconds(interval_s)) {
-        std::printf("# live merge lag: %lld us\n%s\n",
-                    static_cast<long long>(session.live_lag_us()),
-                    obs::ToPrometheusText(session.MetricsSnapshot()).c_str());
-        last_dump = now;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    bus.Finish();
-    const auto snapshot = session.MetricsSnapshot();
-    std::printf("%s", obs::ToPrometheusText(snapshot).c_str());
-    if (stats_json != nullptr) {
-      obs::WriteFileAtomic(stats_json, obs::ToJson(snapshot));
-      std::fprintf(stderr, "wrote metrics JSON to %s\n", stats_json);
-    }
-    return 0;
-  } catch (const TraceTruncatedError& e) {
-    std::fprintf(stderr, "truncated input: %s\n", e.what());
-    return 3;
-  } catch (const TraceCorruptError& e) {
-    std::fprintf(stderr, "corrupt input: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
 // Decodes every spill segment in a directory using the strict reader —
 // exactly the docs/FORMATS.md rules, so this doubles as a living check
 // that the spec matches the code.  A directory left by a crashed session
@@ -952,12 +763,10 @@ int CmdTimeline(const char* dir, Micros span) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Dispatch(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: jigtool demo|demo-live|info|merge|follow|stats|"
+                 "usage: jigtool demo|demo-live|info|merge|"
                  "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
                  "<dir|file|port> [args] [--spill-dir <sdir>] "
                  "[--stats-json <file>] "
@@ -1045,11 +854,10 @@ int main(int argc, char** argv) {
     return pos.size() > i ? std::atol(pos[i]) : fallback;
   };
   if (spill_dir != nullptr && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "follow") != 0 && std::strcmp(cmd, "root") != 0 &&
-      std::strcmp(cmd, "serve") != 0) {
+      std::strcmp(cmd, "root") != 0 && std::strcmp(cmd, "serve") != 0) {
     std::fprintf(stderr,
-                 "warning: --spill-dir only applies to merge/follow/root/"
-                 "serve; ignored for '%s'\n",
+                 "warning: --spill-dir only applies to merge/root/serve; "
+                 "ignored for '%s'\n",
                  cmd);
   }
   if (tcp_port >= 0 && std::strcmp(cmd, "demo-live") != 0) {
@@ -1058,10 +866,9 @@ int main(int argc, char** argv) {
                  "ignored for '%s'\n",
                  cmd);
   }
-  if (stats_json != nullptr && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "stats") != 0) {
+  if (stats_json != nullptr && std::strcmp(cmd, "merge") != 0) {
     std::fprintf(stderr,
-                 "warning: --stats-json only applies to merge/stats; "
+                 "warning: --stats-json only applies to merge; "
                  "ignored for '%s'\n",
                  cmd);
   }
@@ -1129,18 +936,27 @@ int main(int argc, char** argv) {
     return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
                     spill_threshold, stats_json);
   }
-  if (std::strcmp(cmd, "follow") == 0) {
-    return CmdFollow(dir, static_cast<std::size_t>(pos_long(0, 0)),
-                     static_cast<unsigned>(pos_long(1, 0)), spill_dir,
-                     spill_threshold);
-  }
-  if (std::strcmp(cmd, "stats") == 0) {
-    return CmdStats(dir, pos_long(0, 1), stats_json);
-  }
   if (std::strcmp(cmd, "inspect-spill") == 0) return CmdInspectSpill(dir);
   if (std::strcmp(cmd, "timeline") == 0) {
     return CmdTimeline(dir, pos_long(0, 5000));
   }
   std::fprintf(stderr, "unknown command: %s\n", cmd);
   return 2;
+}
+
+}  // namespace
+
+// One exit contract for every command: corrupt or truncated input is 3,
+// any other failure (a missing directory, an unreachable peer) is 1.
+// serve-trace and inspect-spill map their own errors first.
+int main(int argc, char** argv) {
+  try {
+    return Dispatch(argc, argv);
+  } catch (const jig::TraceError& e) {
+    std::fprintf(stderr, "corrupt or truncated input: %s\n", e.what());
+    return 3;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

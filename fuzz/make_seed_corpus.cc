@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "jigsaw/service.h"
 #include "jigsaw/spill.h"
 #include "trace/net.h"
 #include "trace/socket_trace.h"
@@ -209,6 +210,33 @@ int main(int argc, char** argv) {
       WriteSeed(root / "fuzz_jframe_deserialize",
                 "jframe" + std::to_string(i) + ".bin", out);
     }
+  }
+
+  // --- fuzz_checkpoint: checkpoint bodies, CRC stripped -----------------
+  // The harness appends a correct CRC32 to every input, so a seed is what
+  // SaveCheckpoint writes minus its last four bytes.
+  {
+    const fs::path path = scratch / "seed.jigc";
+    const auto write_seed = [&](const char* name, const jig::Checkpoint& cp) {
+      jig::SaveCheckpoint(path, cp);
+      jig::Bytes body = Slurp(path);
+      body.resize(body.size() - 4);
+      WriteSeed(root / "fuzz_checkpoint", name, body);
+    };
+    jig::Checkpoint cp;
+    cp.deployment = "seed";
+    cp.emitted = 1200;
+    cp.active_sequence = 2;
+    cp.active_base = 1000;
+    for (std::uint32_t radio = 0; radio < 3; ++radio) {
+      cp.frontiers.push_back({radio, 400 + radio, radio != 1});
+    }
+    for (std::uint64_t seq = 0; seq <= 2; ++seq) {
+      const auto max_ts = static_cast<std::int64_t>(90'000 + seq * 1'000);
+      cp.segments.push_back({seq, seq * 500, max_ts, 4096, seq < 2});
+    }
+    write_seed("frontiers_and_segments.bin", cp);
+    write_seed("empty.bin", jig::Checkpoint{});
   }
 
   std::error_code ec;

@@ -4,12 +4,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "trace/tail_trace.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 
@@ -73,6 +73,27 @@ void AppendJsonEscaped(std::string& out, const std::string& s) {
   }
 }
 
+// On-disk sizes of one checkpoint table entry (docs/FORMATS.md).
+constexpr std::size_t kFrontierBytes = 4 + 8 + 1;
+constexpr std::size_t kSegmentBytes = 8 + 8 + 8 + 8 + 1;
+
+// A table count is untrusted until the bytes behind it can hold that many
+// entries: checked before reserving, so a hostile count is corruption, not
+// an allocation of up to 2^32 entries.
+void RequireEntries(const ByteReader& r, std::uint32_t count,
+                    std::size_t entry_bytes, const char* what,
+                    const fs::path& path) {
+  if (count > r.remaining() / entry_bytes) {
+    std::string msg = "checkpoint declares ";
+    msg += std::to_string(count);
+    msg += ' ';
+    msg += what;
+    msg += " entries past its end: ";
+    msg += path.string();
+    throw TraceCorruptError(msg);
+  }
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- .jigc
@@ -87,8 +108,9 @@ void AppendJsonEscaped(std::string& out, const std::string& s) {
 #endif
 void SaveCheckpoint(const fs::path& path, const Checkpoint& cp) {
   Bytes out;
-  out.reserve(64 + cp.deployment.size() + 13 * cp.frontiers.size() +
-              33 * cp.segments.size());
+  out.reserve(64 + cp.deployment.size() +
+              kFrontierBytes * cp.frontiers.size() +
+              kSegmentBytes * cp.segments.size());
   ByteWriter w(out);
   w.Raw({reinterpret_cast<const std::uint8_t*>(kCheckpointMagic), 4});
   w.U32(kCheckpointVersion);
@@ -164,6 +186,7 @@ Checkpoint LoadCheckpoint(const fs::path& path) {
     cp.active_sequence = r.U64();
     cp.active_base = r.U64();
     const std::uint32_t n_frontiers = r.U32();
+    RequireEntries(r, n_frontiers, kFrontierBytes, "frontier", path);
     cp.frontiers.reserve(n_frontiers);
     for (std::uint32_t i = 0; i < n_frontiers; ++i) {
       RadioFrontier fr;
@@ -173,6 +196,7 @@ Checkpoint LoadCheckpoint(const fs::path& path) {
       cp.frontiers.push_back(fr);
     }
     const std::uint32_t n_segments = r.U32();
+    RequireEntries(r, n_segments, kSegmentBytes, "segment", path);
     cp.segments.reserve(n_segments);
     for (std::uint32_t i = 0; i < n_segments; ++i) {
       OutputSegmentInfo seg;
@@ -448,40 +472,17 @@ DeploymentMonitor::State DeploymentMonitor::PollOnce() {
 }
 
 void DeploymentMonitor::Discover() {
-  std::error_code ec;
-  for (const auto& entry :
-       fs::directory_iterator(config_.trace_dir, ec)) {
-    if (entry.path().extension() != ".jigt") continue;
-    const std::string key = entry.path().string();
-    if (pending_.contains(key)) continue;
-    // nullptr = header not fully published yet; retry next round.
-    if (auto trace = TailFileTrace::TryOpen(entry.path())) {
-      pending_.emplace(key, std::move(trace));
-    }
-  }
-  if (ec || pending_.empty()) return;
-  if (pending_.size() < expected_traces_) return;
-  StartSession();
+  auto streams =
+      TraceSet::ScanFollowedDirectory(config_.trace_dir, expected_traces_);
+  if (!streams.empty()) StartSession(std::move(streams));
 }
 
-void DeploymentMonitor::StartSession() {
-  // Deterministic set order: radio id, path as tiebreak (pending_ is
-  // already path-ordered).
-  std::vector<std::pair<std::uint32_t, std::unique_ptr<RecordStream>>>
-      opened;
-  opened.reserve(pending_.size());
-  for (auto& [path, trace] : pending_) {
-    opened.emplace_back(trace->header().radio, std::move(trace));
-  }
-  pending_.clear();
-  std::stable_sort(opened.begin(), opened.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (auto& [radio, stream] : opened) {
-    std::unique_ptr<RecordStream> s = std::move(stream);
-    if (wrapper_) s = wrapper_(std::move(s), radio);
-    auto counted = std::make_unique<FrontierTrace>(std::move(s));
+void DeploymentMonitor::StartSession(
+    std::vector<std::unique_ptr<RecordStream>> streams) {
+  for (auto& stream : streams) {
+    const std::uint32_t radio = stream->header().radio;
+    if (wrapper_) stream = wrapper_(std::move(stream), radio);
+    auto counted = std::make_unique<FrontierTrace>(std::move(stream));
     frontiers_.emplace_back(radio, counted.get());
     traces_.Add(std::move(counted));
   }

@@ -14,9 +14,10 @@
 //     that changed durable state.
 //   * MonitorService — owns many monitors and multiplexes them through a
 //     single PollOnce() round-robin (no monitor ever blocks the loop:
-//     discovery uses TailFileTrace::TryOpen, the merge uses
-//     MergeSession::Poll), and exposes the per-deployment snapshot and
-//     the process metric registry as atomically-replaced files.
+//     discovery is one TraceSet::ScanFollowedDirectory per round, the
+//     merge uses MergeSession::Poll), and exposes the per-deployment
+//     snapshot and the process metric registry as atomically-replaced
+//     files.
 //
 // Crash recovery extends the determinism contract into the restart
 // dimension: a monitor killed at ANY point and restarted over the same
@@ -40,7 +41,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -127,9 +127,11 @@ struct DeploymentConfig {
   // is wanted — callers typically point merge.spill_dir inside it too.
   std::filesystem::path state_dir;
   MergeConfig merge;
-  // Traces to wait for before bootstrapping; 0 = whatever the first scan
-  // that finds at least one readable header yields.  Deployments whose
-  // radios attach late MUST set this (the merge's trace set is fixed once
+  // Traces to wait for before bootstrapping, under the followed-directory
+  // rule (TraceSet::ScanFollowedDirectory): discovery starts the merge on
+  // the first scan that opens at least max(expected_traces, 1) published
+  // headers, in (radio id, path) order.  Deployments whose radios attach
+  // late MUST set this (the merge's trace set is fixed once
   // bootstrapped).  After a restart the checkpoint's radio count raises
   // this floor automatically.
   std::size_t expected_traces = 0;
@@ -224,7 +226,7 @@ class DeploymentMonitor {
   struct OutMetrics;
 
   void Discover();
-  void StartSession();
+  void StartSession(std::vector<std::unique_ptr<RecordStream>> streams);
   void OnJFrame(JFrame&& jf);
   void AppendToLog(const JFrame& jf);
   void MaybeRotate();
@@ -242,10 +244,6 @@ class DeploymentMonitor {
   State state_ = State::kDiscovering;
   bool recovered_start_ = false;
   std::size_t expected_traces_ = 0;
-
-  // Discovery: traces opened so far, keyed by path (ordered, so the
-  // eventual trace set is deterministic).
-  std::map<std::string, std::unique_ptr<RecordStream>> pending_;
 
   TraceSet traces_;  // must outlive session_
   std::unique_ptr<MergeSession> session_;

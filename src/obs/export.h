@@ -6,10 +6,10 @@
 // and hand it to whichever writers you need; the two expositions of one
 // snapshot are guaranteed to agree.
 //
-//   * ToPrometheusText — what `jigtool stats` prints and `live_monitor
-//     --metrics-interval` dumps: HELP/TYPE comment lines, cumulative
-//     histogram buckets with le="..." labels and a +Inf terminal bucket,
-//     _sum/_count series.  Scrapeable as-is.
+//   * ToPrometheusText — what `jigtool serve` writes to metrics.prom:
+//     HELP/TYPE comment lines, cumulative histogram buckets with le="..."
+//     labels and a +Inf terminal bucket, _sum/_count series.  Scrapeable
+//     as-is.
 //   * ToJson — what `jigtool merge --stats-json` writes: one object with
 //     "counters" / "gauges" / "histograms" maps keyed by metric name
 //     (labels folded into the key as name{label}).  Histogram buckets stay

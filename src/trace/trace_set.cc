@@ -1,6 +1,7 @@
 #include "trace/trace_set.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <stdexcept>
 #include <thread>
@@ -43,74 +44,85 @@ void TraceSet::AdoptShards(std::vector<ChannelShard> shards) {
   }
 }
 
-TraceSet TraceSet::OpenDirectory(const std::filesystem::path& dir) {
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".jigt") {
-      paths.push_back(entry.path());
+namespace {
+
+namespace fs = std::filesystem;
+
+// Regular *.jigt files in `dir`, in path order.
+std::vector<fs::path> TracePaths(const fs::path& dir, std::error_code& ec) {
+  std::vector<fs::path> paths;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::error_code type_ec;
+    if (it->is_regular_file(type_ec) && it->path().extension() == ".jigt") {
+      paths.push_back(it->path());
     }
   }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+// Streams opened in path order, stably sorted by radio id: the (radio id,
+// path) order every trace set of a directory uses.
+void SortByRadio(std::vector<std::unique_ptr<RecordStream>>& streams) {
+  std::stable_sort(streams.begin(), streams.end(),
+                   [](const auto& a, const auto& b) {
+                     return a->header().radio < b->header().radio;
+                   });
+}
+
+}  // namespace
+
+TraceSet TraceSet::OpenDirectory(const fs::path& dir) {
+  std::error_code ec;
+  const std::vector<fs::path> paths = TracePaths(dir, ec);
+  if (ec) throw fs::filesystem_error("cannot read trace directory", dir, ec);
   std::vector<std::unique_ptr<RecordStream>> opened;
   opened.reserve(paths.size());
-  for (const auto& p : paths) {
-    opened.push_back(std::make_unique<FileTrace>(p));
-  }
-  std::sort(opened.begin(), opened.end(),
-            [](const auto& a, const auto& b) {
-              return a->header().radio < b->header().radio;
-            });
+  for (const auto& p : paths) opened.push_back(std::make_unique<FileTrace>(p));
+  SortByRadio(opened);
   TraceSet set;
-  for (auto& s : opened) set.Add(std::move(s));
+  set.streams_ = std::move(opened);
   return set;
 }
 
-TraceSet TraceSet::FollowDirectory(const std::filesystem::path& dir,
-                                   std::size_t expected_traces,
-                                   std::chrono::milliseconds poll_interval,
-                                   std::chrono::milliseconds timeout) {
-  // Without an expected count, require the file count to hold still for a
-  // whole settle period, not just one poll: capture daemons create their
-  // files staggered, and locking onto a partial set would silently merge
-  // without the late radios (the set cannot grow after this returns).
-  constexpr int kSettlePolls = 10;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::size_t last_count = 0;
-  int stable_polls = 0;
-  for (;;) {
-    // Re-attempt the whole directory each poll: a file whose header is
-    // mid-write simply does not count yet.
-    std::vector<std::unique_ptr<RecordStream>> opened;
-    if (std::filesystem::exists(dir)) {
-      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (!entry.is_regular_file() ||
-            entry.path().extension() != ".jigt") {
-          continue;
-        }
-        if (auto tail = TailFileTrace::TryOpen(entry.path())) {
-          opened.push_back(std::move(tail));
-        }
-      }
+std::vector<std::unique_ptr<RecordStream>> TraceSet::ScanFollowedDirectory(
+    const fs::path& dir, std::size_t expected_traces) {
+  const std::size_t complete = std::max<std::size_t>(expected_traces, 1);
+  std::error_code ec;
+  const std::vector<fs::path> paths = TracePaths(dir, ec);
+  if (ec || paths.size() < complete) return {};
+  std::vector<std::unique_ptr<RecordStream>> opened;
+  opened.reserve(paths.size());
+  for (const auto& p : paths) {
+    // nullptr: the header is still mid-write, so the file does not count
+    // yet.
+    if (auto tail = TailFileTrace::TryOpen(p)) {
+      opened.push_back(std::move(tail));
     }
-    stable_polls = opened.size() == last_count ? stable_polls + 1 : 0;
-    const bool ready =
-        expected_traces != 0
-            ? opened.size() >= expected_traces
-            : !opened.empty() && stable_polls >= kSettlePolls;
-    if (ready) {
-      std::sort(opened.begin(), opened.end(),
-                [](const auto& a, const auto& b) {
-                  return a->header().radio < b->header().radio;
-                });
+  }
+  if (opened.size() < complete) return {};
+  SortByRadio(opened);
+  return opened;
+}
+
+TraceSet TraceSet::FollowDirectory(const fs::path& dir,
+                                   std::size_t expected_traces) {
+  constexpr auto kPollInterval = std::chrono::milliseconds(20);
+  constexpr auto kTimeout = std::chrono::seconds(30);
+  const auto deadline = std::chrono::steady_clock::now() + kTimeout;
+  for (;;) {
+    auto streams = ScanFollowedDirectory(dir, expected_traces);
+    if (!streams.empty()) {
       TraceSet set;
-      for (auto& s : opened) set.Add(std::move(s));
+      set.streams_ = std::move(streams);
       return set;
     }
-    last_count = opened.size();
     if (std::chrono::steady_clock::now() >= deadline) {
       throw std::runtime_error(
           "FollowDirectory: timed out waiting for traces in " + dir.string());
     }
-    std::this_thread::sleep_for(poll_interval);
+    std::this_thread::sleep_for(kPollInterval);
   }
 }
 

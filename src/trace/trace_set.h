@@ -6,7 +6,6 @@
 // produced directly by the simulator, or an on-disk jigdump-style file.
 #pragma once
 
-#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -100,21 +99,28 @@ class TraceSet {
     for (auto& s : streams_) s->Rewind();
   }
 
-  // Opens every *.jigt file in a directory as one trace set, ordered by
-  // radio id so analyses are deterministic regardless of directory order.
+  // Opens every regular *.jigt file in a directory as one trace set, in
+  // (radio id, path) order so analyses are deterministic regardless of
+  // directory order.
   static TraceSet OpenDirectory(const std::filesystem::path& dir);
 
-  // Live counterpart of OpenDirectory: polls `dir` until `expected_traces`
-  // *.jigt files have readable headers (with expected_traces == 0, until
-  // the file count is non-zero and has held still for a settle period of
-  // ~10 poll intervals — pass the expected count when you know it; the
-  // trace set cannot grow once this returns), then opens them all as
-  // tail-follow streams ordered by radio id.  Throws std::runtime_error
-  // if the deadline passes first.
-  static TraceSet FollowDirectory(
-      const std::filesystem::path& dir, std::size_t expected_traces = 0,
-      std::chrono::milliseconds poll_interval = std::chrono::milliseconds(20),
-      std::chrono::milliseconds timeout = std::chrono::seconds(30));
+  // The rule for a followed (still-growing) directory, shared by
+  // FollowDirectory and the monitoring service's discovery.  One scan of
+  // `dir`: every regular *.jigt file whose header is published opens as a
+  // tail-follow stream, and the set is complete once at least
+  // max(expected_traces, 1) streams are open.  A complete scan returns the
+  // streams in (radio id, path) order; an incomplete one — or a missing
+  // or unreadable directory — returns nothing, and the caller scans again
+  // later.  The set cannot grow once a caller starts merging it, so pass
+  // the expected count whenever radios may attach late.
+  static std::vector<std::unique_ptr<RecordStream>> ScanFollowedDirectory(
+      const std::filesystem::path& dir, std::size_t expected_traces);
+
+  // Live counterpart of OpenDirectory: repeats ScanFollowedDirectory every
+  // 20 ms until the set is complete and returns it.  Throws
+  // std::runtime_error if 30 s pass first.
+  static TraceSet FollowDirectory(const std::filesystem::path& dir,
+                                  std::size_t expected_traces);
 
   // Writes every stream out as jigdump-style files into `dir` (one file per
   // radio, named r<id>.jigt) and returns the paths.  Streams are rewound.

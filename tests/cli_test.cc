@@ -4,7 +4,8 @@
 // contract covers the network doors too: serve-trace maps a refused
 // connection to 1 and a mid-stream disconnect (either direction) to 3.
 // Monitoring wrappers and the CI bench gate branch on these, so they are
-// pinned here.
+// pinned here, together with `serve` following a directory that is still
+// being written — the one live door.
 //
 // The jigtool binary is located via the JIGTOOL environment variable, or
 // ./jigtool relative to the test's working directory (ctest runs from the
@@ -16,10 +17,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
+#include "reference_merge.h"
 #include "trace/net.h"
 #include "trace/trace_file.h"
+#include "trace/trace_set.h"
 
 namespace {
 
@@ -91,17 +95,24 @@ TEST_F(CliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunJigtool(""), 2);
   EXPECT_EQ(RunJigtool("frobnicate " + dir_.string()), 2);
   EXPECT_EQ(RunJigtool("merge " + dir_.string() + " --spill-dir"), 2);
-  EXPECT_EQ(RunJigtool("stats " + dir_.string() + " --stats-json"), 2);
+  EXPECT_EQ(RunJigtool("merge " + dir_.string() + " --stats-json"), 2);
 }
 
-TEST_F(CliTest, StatsOnMissingOrEmptyInputExitsOne) {
-  EXPECT_EQ(RunJigtool("stats " + (dir_ / "nonexistent").string()), 1);
-  EXPECT_EQ(RunJigtool("stats " + dir_.string()), 1);  // no .jigt files
-}
-
-TEST_F(CliTest, StatsOnCorruptTraceExitsThree) {
-  WriteGarbage(dir_ / "bad.jigt");
-  EXPECT_EQ(RunJigtool("stats " + dir_.string()), 3);
+// Every batch door over a trace directory maps a missing or empty
+// directory to 1 and a corrupt trace to 3 — never an uncaught exception.
+TEST_F(CliTest, BatchDoorsOnMissingEmptyOrCorruptInput) {
+  const fs::path empty = dir_ / "empty";
+  const fs::path corrupt = dir_ / "corrupt";
+  fs::create_directories(empty);
+  fs::create_directories(corrupt);
+  WriteGarbage(corrupt / "bad.jigt");
+  for (const char* cmd : {"merge", "info", "timeline"}) {
+    SCOPED_TRACE(cmd);
+    const std::string door = std::string(cmd) + " ";
+    EXPECT_EQ(RunJigtool(door + (dir_ / "nonexistent").string()), 1);
+    EXPECT_EQ(RunJigtool(door + empty.string()), 1);  // no .jigt files
+    EXPECT_EQ(RunJigtool(door + corrupt.string()), 3);
+  }
 }
 
 TEST_F(CliTest, InspectSpillOnMissingOrEmptyInputExitsOne) {
@@ -242,6 +253,15 @@ TEST_F(CliTest, ServeCorruptCheckpointExitsThree) {
             3);
 }
 
+TEST_F(CliTest, ServeCorruptTraceExitsThree) {
+  const fs::path traces = dir_ / "traces";
+  fs::create_directories(traces);
+  WriteGarbage(traces / "bad.jigt");
+  EXPECT_EQ(RunJigtool("serve " + (dir_ / "state").string() + " " +
+                       traces.string() + " --until-done --expected 1"),
+            3);
+}
+
 TEST_F(CliTest, ServeUntilDoneExitsZeroAndWritesSnapshot) {
   const fs::path traces = dir_ / "traces";
   fs::create_directories(traces);
@@ -274,6 +294,48 @@ TEST_F(CliTest, ServeSigtermShutsDownCleanly) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   EXPECT_TRUE(fs::exists(state / "snapshot.json"));
+}
+
+// The value of `"key":<n>` in a one-deployment snapshot.json (-1 if the
+// key is absent).
+long long SnapshotField(const fs::path& snapshot, const std::string& key) {
+  std::ifstream in(snapshot);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::string needle = "\"" + key + "\":";
+  const auto at = json.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::atoll(json.c_str() + at + needle.size());
+}
+
+// The live door end to end: serve follows a directory while demo-live is
+// still writing it, and once every radio finalizes its durable stream
+// holds exactly the jframes a batch merge of the finished files yields.
+TEST_F(CliTest, ServeFollowsLiveWriter) {
+  const fs::path traces = dir_ / "traces";
+  const fs::path state = dir_ / "state";
+  // serve refuses a directory that does not exist yet (exit 1).
+  fs::create_directories(traces);
+  const std::string tool = JigtoolPath();
+  const std::string cmd =
+      tool + " demo-live " + traces.string() +
+      " 2 50 >/dev/null 2>&1 & wpid=$!; " + tool + " serve " +
+      state.string() + " " + traces.string() +
+      " --expected 156 --analysis --until-done >/dev/null 2>&1; s=$?; "
+      "wait $wpid; w=$?; exit $((s * 10 + w))";
+  const int status = std::system(cmd.c_str());
+  ASSERT_NE(status, -1);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0)
+      << "serve exit " << WEXITSTATUS(status) / 10 << ", demo-live exit "
+      << WEXITSTATUS(status) % 10;
+
+  jig::TraceSet finished = jig::TraceSet::OpenDirectory(traces);
+  ASSERT_EQ(finished.size(), 156u);
+  const auto reference = jig::testing::ReferenceMerge(finished);
+  ASSERT_FALSE(reference.jframes.empty());
+  EXPECT_EQ(SnapshotField(state / "snapshot.json", "jframes"),
+            static_cast<long long>(reference.jframes.size()));
 }
 
 }  // namespace

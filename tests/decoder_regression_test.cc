@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "jigsaw/service.h"
 #include "jigsaw/spill.h"
 #include "trace/net.h"
 #include "trace/socket_trace.h"
@@ -29,6 +30,7 @@
 #include "trace/trace_file.h"
 #include "util/byte_io.h"
 #include "util/compression.h"
+#include "util/crc32.h"
 
 namespace jig {
 namespace {
@@ -327,6 +329,51 @@ TEST_F(DecoderRegressionTest, SpillHostileBlockLengthIsCorrupt) {
         },
         TraceCorruptError);
   }
+}
+
+// ---------------------------------------------------------------------------
+// .jigc checkpoint loader.
+
+// Re-seals a checkpoint body (everything before the CRC) with a correct
+// CRC32, so a patched structure gets past the CRC check.
+Bytes SealCheckpoint(Bytes body) {
+  const std::uint32_t crc = Crc32(body);
+  body.resize(body.size() + 4);
+  PutU32At(body, body.size() - 4, crc);
+  return body;
+}
+
+// Minimized crasher: a CRC-valid 41-byte checkpoint whose frontier count
+// is 0xFFFFFFFF with no entries behind it.  The unhardened loader reserved
+// the whole table (0x17ffffffe8 bytes) before reading one entry —
+// std::bad_alloc without ASan, an allocation-size abort under it.
+TEST_F(DecoderRegressionTest, CheckpointHostileFrontierCountIsCorrupt) {
+  const fs::path saved = dir_ / "empty.jigc";
+  SaveCheckpoint(saved, Checkpoint{});
+  Bytes body = Slurp(saved);
+  // magic, version, varint name length 0, emitted, active seq and base.
+  const std::size_t n_frontiers_at = 4 + 4 + 1 + 3 * 8;
+  body.resize(n_frontiers_at + 4);  // cut after the frontier count
+  PutU32At(body, n_frontiers_at, 0xFFFFFFFFu);
+  const Bytes hostile = SealCheckpoint(body);
+  ASSERT_EQ(hostile.size(), 41u);
+  EXPECT_THROW(LoadCheckpoint(Write("hostile_frontiers.jigc", hostile)),
+               TraceCorruptError);
+}
+
+// The same bomb in the segment table: one valid frontier, then a segment
+// count of 0xFFFFFFFF and nothing after it.
+TEST_F(DecoderRegressionTest, CheckpointHostileSegmentCountIsCorrupt) {
+  Checkpoint cp;
+  cp.frontiers.push_back({7, 100, true});
+  const fs::path saved = dir_ / "one_frontier.jigc";
+  SaveCheckpoint(saved, cp);
+  Bytes body = Slurp(saved);
+  body.resize(body.size() - 4);  // drop the CRC
+  PutU32At(body, body.size() - 4, 0xFFFFFFFFu);  // the segment count
+  EXPECT_THROW(
+      LoadCheckpoint(Write("hostile_segments.jigc", SealCheckpoint(body))),
+      TraceCorruptError);
 }
 
 // ---------------------------------------------------------------------------
