@@ -633,5 +633,171 @@ TEST_F(DecoderRegressionTest, EveryBlockReaderFollowsItsTaxonomyTable) {
   }
 }
 
+
+// ---------------------------------------------------------------------------
+// Writer byte pins.
+//
+// Every writer of the block framing runs one short script and is pinned by
+// the size and CRC32 of what it wrote plus its own counters.  The pins
+// were taken from the writers as they stood before they shared one
+// encoder, so a writer refactor that moves a single byte fails here.
+
+struct WriterOutput {
+  Bytes bytes;
+  std::uint64_t bytes_counter = 0;  // bytes_written / bytes_sent
+  std::uint64_t records = 0;        // records_written / records_sent
+};
+
+struct WriterPin {
+  const char* name;
+  std::function<WriterOutput(const fs::path& dir)> run;
+  std::size_t size;
+  std::uint32_t crc;
+  std::uint64_t bytes_counter;  // kNoByteCounter for .jigt writers
+  std::uint64_t records;
+};
+
+// TraceFileWriter has no byte counter.
+constexpr std::uint64_t kNoByteCounter = 0;
+
+CaptureRecord PinRecord(int i) {
+  CaptureRecord rec;
+  rec.timestamp = 5000 + i * 173 - (i % 3) * 40;  // not monotone
+  rec.outcome = i % 5 == 0 ? RxOutcome::kFcsError : RxOutcome::kOk;
+  rec.rssi_dbm = -41.25F - static_cast<float>(i);
+  rec.rate = PhyRate::kB11;
+  rec.orig_len = 60 + static_cast<std::uint32_t>(i);
+  rec.bytes.assign(20 + i % 7, static_cast<std::uint8_t>(0x30 + i));
+  return rec;
+}
+
+JFrame PinJFrame(int i) {
+  JFrame jf;
+  jf.timestamp = static_cast<UniversalMicros>(9000 + i * 311);
+  jf.dispersion = i;
+  jf.wire_len = 80 + static_cast<std::uint32_t>(i);
+  jf.digest = 0xFEEDFACEull * static_cast<std::uint64_t>(i + 1);
+  jf.frame.sequence = static_cast<std::uint16_t>(i);
+  jf.frame.body.assign(12, static_cast<std::uint8_t>(i));
+  FrameInstance inst;
+  inst.radio = static_cast<RadioId>(i % 4);
+  inst.local_timestamp = 7000 + i;
+  inst.universal_timestamp = jf.timestamp;
+  inst.rssi_dbm = -60.5F;
+  jf.instances.push_back(inst);
+  return jf;
+}
+
+TraceHeader PinHeader() {
+  TraceHeader header;
+  header.radio = 9;
+  header.pod = 2;
+  header.monitor = 4;
+  header.channel = Channel::kCh6;
+  header.ntp_utc_of_local_zero_us = 1'234'567;
+  return header;
+}
+
+TEST_F(DecoderRegressionTest, EveryBlockWriterKeepsItsBytes) {
+  const std::vector<WriterPin> pins = {
+      {".jigt, Sync mid-block, then Finish",
+       [](const fs::path& dir) {
+         const fs::path path = dir / "sync.jigt";
+         WriterOutput out;
+         {
+           TraceFileWriter w(path, PinHeader(), /*records_per_block=*/4);
+           for (int i = 0; i < 6; ++i) w.Append(PinRecord(i));
+           w.Sync();
+           for (int i = 6; i < 9; ++i) w.Append(PinRecord(i));
+           w.Finish();
+           out.records = w.records_written();
+         }
+         out.bytes = Slurp(path);
+         return out;
+       },
+       276, 0x127E0F2Bu, kNoByteCounter, 9},
+      {".jigt, finished by its destructor",
+       [](const fs::path& dir) {
+         const fs::path path = dir / "dtor.jigt";
+         WriterOutput out;
+         {
+           TraceFileWriter w(path, PinHeader());
+           for (int i = 0; i < 5; ++i) w.Append(PinRecord(i));
+           out.records = w.records_written();
+         }
+         out.bytes = Slurp(path);
+         return out;
+       },
+       152, 0xA6F45918u, kNoByteCounter, 5},
+      {"socket stream over a socketpair",
+       [](const fs::path&) {
+         WriterOutput out;
+         int fds[2];
+         if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+           ADD_FAILURE() << "socketpair failed";
+           return out;
+         }
+         net::Socket receiver(fds[0]);
+         {
+           SocketTraceWriter w(net::Socket(fds[1]), PinHeader(),
+                               /*source_id=*/7, /*records_per_block=*/4);
+           for (int i = 0; i < 10; ++i) w.Append(PinRecord(i));
+           w.Sync();
+           w.Append(PinRecord(10));
+           w.Finish();
+           out.bytes_counter = w.bytes_sent();
+           out.records = w.records_sent();
+         }  // closes the sender: the reads below end at EOF
+         std::uint8_t chunk[4096];
+         for (ssize_t n;
+              (n = ::recv(receiver.fd(), chunk, sizeof chunk, 0)) > 0;) {
+           out.bytes.insert(out.bytes.end(), chunk, chunk + n);
+         }
+         return out;
+       },
+       222, 0x74CBD453u, 222, 11},
+      {".jigs, Sync cut, then Finish",
+       [](const fs::path& dir) {
+         const fs::path path = dir / "sync.jigs";
+         WriterOutput out;
+         {
+           SpillSegmentWriter w(path, {6, 3}, /*records_per_block=*/4);
+           for (int i = 0; i < 6; ++i) w.Append(PinJFrame(i));
+           w.Sync();
+           for (int i = 6; i < 8; ++i) w.Append(PinJFrame(i));
+           w.Finish();
+           out.bytes_counter = w.bytes_written();
+           out.records = w.records_written();
+         }
+         out.bytes = Slurp(path);
+         return out;
+       },
+       487, 0xA456EB4Fu, 487, 8},
+      {".jigs, Abandoned with records pending",
+       [](const fs::path& dir) {
+         const fs::path path = dir / "abandon.jigs";
+         WriterOutput out;
+         {
+           SpillSegmentWriter w(path, {11, 0}, /*records_per_block=*/4);
+           for (int i = 0; i < 6; ++i) w.Append(PinJFrame(i));
+           w.Abandon();
+           out.bytes_counter = w.bytes_written();
+           out.records = w.records_written();
+         }
+         out.bytes = Slurp(path);
+         return out;
+       },
+       237, 0xA0B682D4u, 237, 6},
+  };
+  for (const WriterPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const WriterOutput out = pin.run(dir_);
+    EXPECT_EQ(out.bytes.size(), pin.size);
+    EXPECT_EQ(Crc32(out.bytes), pin.crc);
+    EXPECT_EQ(out.bytes_counter, pin.bytes_counter);
+    EXPECT_EQ(out.records, pin.records);
+  }
+}
+
 }  // namespace
 }  // namespace jig
