@@ -309,10 +309,7 @@ int CmdServeTrace(const char* file, const char* host, long port) {
   }
   std::uint64_t blocks = 0;
   try {
-    Bytes hello(kSocketHelloMagic, kSocketHelloMagic + 4);
-    ByteWriter w(hello);
-    w.U32(kSocketHelloVersion);
-    w.U32(0);  // source id: a standalone sender
+    const Bytes hello = EncodeSocketHello(/*source_id=*/0);
     net::SendAll(sock, hello.data(), hello.size());
     net::SendAll(sock, frame.data(), frame.size());  // prefix + header
     for (;;) {

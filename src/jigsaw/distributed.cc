@@ -164,7 +164,7 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
   Impl& impl = *impl_;
   TraceSet traces = AcceptTraces(impl.listener, impl.config.n_streams,
                                  impl.config.accept_timeout_ms,
-                                 impl.config.resume_reconnects);
+                                 /*resumable=*/true);
   // Which wing each radio's stream arrived from: the boundary-overlap
   // attribution for the reconciliation counter below.
   std::unordered_map<RadioId, std::uint32_t> wing_of;
@@ -199,13 +199,15 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
   for (;;) {
     // Pick up re-dialing wings before pulling data: a dead uplink's
     // stream is parked (resumable) and only a resumed connection can
-    // unpark it.  A connection with an unknown identity mid-run is not
-    // one of our n_streams — drop it rather than let a stray dial wedge
-    // or grow the merge.
-    if (impl.config.resume_reconnects) {
-      for (;;) {
-        net::Socket fresh = impl.listener.TryAccept();
-        if (!fresh.valid()) break;
+    // unpark it.  Any other connection mid-run — an unknown identity, or
+    // a peer that never completes a valid handshake (a port probe) — is
+    // not one of our n_streams: drop it rather than let a stray dial grow
+    // or end the merge.  (A stray that connects and stays silent still
+    // holds this loop for up to accept_timeout_ms.)
+    for (;;) {
+      net::Socket fresh = impl.listener.TryAccept();
+      if (!fresh.valid()) break;
+      try {
         auto stranger = SocketTrace::OpenOrResume(
             std::move(fresh), sockets, impl.config.accept_timeout_ms);
         if (stranger) {
@@ -214,6 +216,8 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
                        "radio %u) — not a resume of any known uplink\n",
                        stranger->source_id(), stranger->header().radio);
         }
+      } catch (const TraceError& e) {
+        std::fprintf(stderr, "root: dropping connection: %s\n", e.what());
       }
     }
     // Drain every wing uplink first — see SocketTrace::Ingest for why

@@ -83,20 +83,17 @@ struct RootConfig {
   std::size_t n_streams = 0;  // total radios expected across all wings
   MergeConfig merge;
   int accept_timeout_ms = 30000;
-  // Adopt re-dialed uplinks: a wing that drops and dials again with the
-  // same source id resumes its streams (the sender replays from record
-  // zero; already-received records are deduplicated) instead of poisoning
-  // the merge as duplicate radios.  While a wing is down its streams park
-  // — the root waits rather than emitting a truncated capture.  Turn OFF
-  // for one-shot collections where a lost wing should fail fast with
-  // TraceTruncatedError.
-  bool resume_reconnects = true;
 };
 
 // The root: accepts n_streams socket traces (from any number of wings),
 // then runs the normal global MergeSession over them.  Every jframe goes
 // to the caller's sink in timestamp order — byte-identical to the
-// single-node merge of the same traces.
+// single-node merge of the same traces.  A wing that drops and dials again
+// with the same source id resumes its streams (the sender replays from
+// record zero; already-received records are deduplicated); while it is
+// down its streams park, so the root waits rather than emitting a
+// truncated capture.  Any other connection during the merge is logged and
+// dropped.
 class RootSession {
  public:
   // Binds and listens immediately, so wings may start connecting before

@@ -555,13 +555,11 @@ void DeploymentMonitor::SealActiveSegment() {
 }
 
 void DeploymentMonitor::EnforceRetention() {
-  bool deleted = false;
   const auto drop_oldest = [&] {
     std::error_code ec;
     fs::remove(SegmentPath(sealed_.front().sequence), ec);
     sealed_.erase(sealed_.begin());
     metrics_->retention_deletes.Add(1);
-    deleted = true;
   };
   if (config_.retention_window_us > 0) {
     const std::int64_t horizon = newest_ts_ - config_.retention_window_us;
@@ -582,7 +580,6 @@ void DeploymentMonitor::EnforceRetention() {
   // The deletions and the table shrink land in the same checkpoint the
   // caller writes next; a crash in between is covered because the stale
   // table is a superset of the surviving segments.
-  (void)deleted;
 }
 
 Checkpoint DeploymentMonitor::BuildCheckpoint() const {
@@ -607,7 +604,6 @@ void DeploymentMonitor::WriteCheckpoint() {
   if (config_.hooks.before_checkpoint) config_.hooks.before_checkpoint();
   SaveCheckpoint(CheckpointPath(), BuildCheckpoint());
   last_checkpoint_ = std::chrono::steady_clock::now();
-  checkpointed_once_ = true;
   metrics_->checkpoints.Add(1);
   if (config_.hooks.after_checkpoint) config_.hooks.after_checkpoint();
 }

@@ -269,7 +269,6 @@ class DeploymentMonitor {
   std::uint64_t recovered_ = 0;
   std::uint64_t appended_this_round_ = 0;
   std::chrono::steady_clock::time_point last_checkpoint_;
-  bool checkpointed_once_ = false;
 
   std::unique_ptr<OutMetrics> metrics_;
 };

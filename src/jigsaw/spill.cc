@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "trace/framed_io.h"
-#include "util/compression.h"
 
 namespace jig {
 namespace {
@@ -16,19 +14,18 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr const char* kWhat = "spill segment";
-constexpr block_codec::Format kSpillFormat{kSpillMagic, kSpillVersion, kWhat};
+// Fast level: spill blocks are written on the shard worker's round (the
+// merge hot path) and live only until replay, so compression latency
+// matters more than ratio here.
+constexpr block_codec::Format kSpillFormat{kSpillMagic, kSpillVersion, kWhat,
+                                           LzLevel::kFast};
 
-void WriteAll(std::FILE* f, const void* data, std::size_t n) {
-  framed_io::WriteAll(f, data, n, kWhat);
-}
-void WriteU32(std::FILE* f, std::uint32_t v) {
-  framed_io::WriteU32(f, v, kWhat);
-}
-
-void SerializeSegmentHeader(const SpillSegmentHeader& h, Bytes& out) {
+Bytes EncodeSegmentHeader(const SpillSegmentHeader& h) {
+  Bytes out;
   ByteWriter w(out);
   w.U8(h.channel);
   w.U64(h.sequence);
+  return out;
 }
 
 SpillSegmentHeader DeserializeSegmentHeader(ByteReader& r) {
@@ -137,80 +134,8 @@ JFrame DeserializeJFrame(ByteReader& r) {
 SpillSegmentWriter::SpillSegmentWriter(const fs::path& path,
                                        const SpillSegmentHeader& header,
                                        std::size_t records_per_block)
-    : records_per_block_(records_per_block) {
-  file_ = std::fopen(path.string().c_str(), "wb");
-  if (!file_) {
-    throw std::runtime_error("cannot open spill segment for writing: " +
-                             path.string());
-  }
-  WriteAll(file_, kSpillMagic, 4);
-  WriteU32(file_, kSpillVersion);
-  Bytes hdr;
-  SerializeSegmentHeader(header, hdr);
-  WriteU32(file_, static_cast<std::uint32_t>(hdr.size()));
-  WriteAll(file_, hdr.data(), hdr.size());
-  std::fflush(file_);  // publish the header before the first block lands
-  bytes_written_ = 12 + hdr.size();
-}
-
-SpillSegmentWriter::~SpillSegmentWriter() {
-  try {
-    if (!finished_) Finish();
-  } catch (...) {
-    // Destructor must not throw; an explicit Finish() reports errors.
-  }
-  if (file_) std::fclose(file_);
-}
-
-void SpillSegmentWriter::Append(const JFrame& jf) {
-  if (finished_) throw std::logic_error("Append after Finish");
-  SerializeJFrame(jf, pending_);
-  ++pending_count_;
-  ++records_written_;
-  if (pending_count_ >= records_per_block_) FlushBlock();
-}
-
-void SpillSegmentWriter::FlushBlock() {
-  if (pending_count_ == 0) return;
-  // Fast level: spill blocks are written on the shard worker's round (the
-  // merge hot path) and live only until replay, so compression latency
-  // matters more than ratio here.
-  const auto packed = LzCompress(pending_, LzLevel::kFast);
-  WriteU32(file_, static_cast<std::uint32_t>(packed.size()));
-  WriteAll(file_, packed.data(), packed.size());
-  bytes_written_ += 4 + packed.size();
-  pending_.clear();
-  pending_count_ = 0;
-}
-
-void SpillSegmentWriter::Sync() {
-  if (finished_) throw std::logic_error("Sync after Finish");
-  FlushBlock();
-  if (std::fflush(file_) != 0) {
-    throw std::runtime_error("spill segment: flush");
-  }
-}
-
-void SpillSegmentWriter::Finish() {
-  if (finished_) return;
-  FlushBlock();
-  WriteU32(file_, 0);  // finalize marker, same convention as .jigt
-  bytes_written_ += 4;
-  if (std::fflush(file_) != 0) {
-    throw std::runtime_error("spill segment: flush");
-  }
-  finished_ = true;
-}
-
-void SpillSegmentWriter::Abandon() {
-  if (finished_) return;
-  // Drop the uncut block — a killed process never got to publish it —
-  // and leave the file marker-less, exactly as SIGKILL would.
-  pending_.clear();
-  pending_count_ = 0;
-  finished_ = true;
-  std::fflush(file_);
-}
+    : encoder_(std::make_unique<block_codec::FileSink>(path, kWhat),
+               kSpillFormat, EncodeSegmentHeader(header), records_per_block) {}
 
 // ---------------------------------------------------------------------------
 // SpillSegmentReader.

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <memory>
@@ -53,47 +52,37 @@ struct SpillSegmentHeader {
 void SerializeJFrame(const JFrame& jf, Bytes& out);
 JFrame DeserializeJFrame(ByteReader& r);
 
-// Appends jframes to one spill segment.  Mirrors TraceFileWriter: records
-// buffer into a pending block, Sync() cuts + flushes it (the publication
-// point a concurrent reader may rely on), Finish() writes the [u32 0]
-// finalize marker.
+// Appends jframes to one spill segment through the block codec's Encoder:
+// records buffer into a pending block, Sync() cuts + flushes it (the
+// publication point a concurrent reader may rely on), Finish() writes the
+// [u32 0] finalize marker.  Blocks are compressed at LzLevel::kFast.
 class SpillSegmentWriter {
  public:
   SpillSegmentWriter(const std::filesystem::path& path,
                      const SpillSegmentHeader& header,
                      std::size_t records_per_block = 256);
-  ~SpillSegmentWriter();
 
-  SpillSegmentWriter(const SpillSegmentWriter&) = delete;
-  SpillSegmentWriter& operator=(const SpillSegmentWriter&) = delete;
-
-  void Append(const JFrame& jf);
-  void Sync();
-  void Finish();
+  void Append(const JFrame& jf) {
+    encoder_.Append([&jf](Bytes& block, bool) { SerializeJFrame(jf, block); });
+  }
+  void Sync() { encoder_.Sync(); }
+  void Finish() { encoder_.Finish(); }
   // Closes the segment the way a crash would leave it: the pending uncut
   // block is discarded and NO finalize marker is written, so a later
   // strict read reports truncation and a tail read stops at the last
   // published block.  The monitoring service's simulated-kill path uses
   // this — the destructor's implicit Finish() would forge an end-of-
   // stream marker the "crashed" process never wrote.  Idempotent; the
-  // writer is unusable afterwards (Append/Sync/Finish throw).
-  void Abandon();
+  // writer is unusable afterwards (Append/Sync throw).
+  void Abandon() { encoder_.Abandon(); }
 
-  std::uint64_t records_written() const { return records_written_; }
+  std::uint64_t records_written() const { return encoder_.records(); }
   // Bytes landed in the file so far (published blocks + header/trailer);
   // excludes the pending uncut block.
-  std::uint64_t bytes_written() const { return bytes_written_; }
+  std::uint64_t bytes_written() const { return encoder_.bytes_written(); }
 
  private:
-  void FlushBlock();
-
-  std::FILE* file_ = nullptr;
-  std::size_t records_per_block_;
-  Bytes pending_;
-  std::uint32_t pending_count_ = 0;
-  std::uint64_t records_written_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  bool finished_ = false;
+  block_codec::Encoder encoder_;
 };
 
 // Sequential reader over one spill segment.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/compression.h"
 
 namespace jig::block_codec {
 namespace {
@@ -87,6 +86,21 @@ TraceHeader DecodeTraceHeader(std::span<const std::uint8_t> header) {
   return h;
 }
 
+Bytes EncodeTraceHeader(const TraceHeader& header) {
+  Bytes out;
+  SerializeHeader(header, out);
+  return out;
+}
+
+void AppendRecord(Encoder& encoder, const CaptureRecord& rec,
+                  RecordSpan& span) {
+  encoder.Append([&rec, &span](Bytes& block, bool opens) {
+    if (opens) span.first = rec.timestamp;
+    SerializeRecord(rec, opens ? 0 : span.last, block);
+    span.last = rec.timestamp;
+  });
+}
+
 void CountTraceBlock(std::size_t frame_bytes, std::size_t records) {
   TraceMetrics& m = Metrics();
   m.bytes.Add(frame_bytes);
@@ -124,6 +138,99 @@ std::uint64_t FileSource::Size() {
   const off_t size = ftello(file_);
   if (size < 0) throw TraceError("read: tell");
   return static_cast<std::uint64_t>(size);
+}
+
+FileSink::FileSink(const std::filesystem::path& path, const char* what)
+    : file_(std::fopen(path.string().c_str(), "wb")), what_(what) {
+  if (!file_) {
+    throw std::runtime_error(std::string("cannot open ") + what +
+                             " for writing: " + path.string());
+  }
+}
+
+FileSink::~FileSink() { std::fclose(file_); }
+
+void FileSink::Write(std::span<const std::uint8_t> bytes) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+    throw std::runtime_error(std::string(what_) + ": short write");
+  }
+}
+
+void FileSink::Flush() {
+  if (std::fflush(file_) != 0) {
+    throw std::runtime_error(std::string(what_) + ": flush");
+  }
+}
+
+Encoder::Encoder(std::unique_ptr<Sink> sink, const Format& format,
+                 std::span<const std::uint8_t> header,
+                 std::size_t records_per_block, Hooks hooks)
+    : sink_(std::move(sink)),
+      level_(format.level),
+      records_per_block_(records_per_block),
+      hooks_(std::move(hooks)) {
+  Write({reinterpret_cast<const std::uint8_t*>(format.magic), 4});
+  WriteU32(format.version);
+  WriteU32(static_cast<std::uint32_t>(header.size()));
+  Write(header);
+  sink_->Flush();
+}
+
+Encoder::~Encoder() {
+  try {
+    Finish();
+  } catch (...) {
+    // Destructor must not throw; an explicit Finish() reports errors.
+  }
+}
+
+void Encoder::Sync() {
+  if (closed_) throw std::logic_error("Sync after Finish");
+  Cut();
+  sink_->Flush();
+}
+
+void Encoder::Finish() {
+  if (closed_) return;
+  closed_ = true;
+  Cut();
+  WriteU32(0);  // the finalize marker
+  if (hooks_.trailer) Write(hooks_.trailer(bytes_written_));
+  sink_->Flush();
+}
+
+void Encoder::Abandon() {
+  if (closed_) return;
+  closed_ = true;
+  pending_.clear();
+  pending_records_ = 0;
+  try {
+    sink_->Flush();  // what was cut before the "crash" stays published
+  } catch (const std::exception&) {
+    // A crashed writer reports nothing.
+  }
+}
+
+void Encoder::Cut() {
+  if (pending_records_ == 0) return;
+  const Bytes packed = LzCompress(pending_, level_);
+  if (hooks_.on_cut) hooks_.on_cut(bytes_written_, pending_records_);
+  WriteU32(static_cast<std::uint32_t>(packed.size()));
+  Write(packed);
+  pending_.clear();
+  pending_records_ = 0;
+}
+
+void Encoder::Write(std::span<const std::uint8_t> bytes) {
+  sink_->Write(bytes);
+  bytes_written_ += bytes.size();
+}
+
+void Encoder::WriteU32(std::uint32_t v) {
+  const std::uint8_t word[4] = {
+      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  Write(word);
 }
 
 }  // namespace jig::block_codec

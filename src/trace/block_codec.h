@@ -1,11 +1,13 @@
-// The block framing every trace-layer reader shares (docs/FORMATS.md):
+// The block framing every trace-layer reader and writer shares
+// (docs/FORMATS.md):
 //
 //   prefix   [magic][u32 version][u32 header_len][header]
 //   units    repeated [u32 len > 0][LZ block]
 //   marker   [u32 0]
 //
 // .jigt files, .jigs spill segments and the socket stream all carry it, so
-// it is parsed here once.  The parsers are a push decoder over whatever
+// it is parsed and written here once.  The write half is one Encoder over a
+// byte Sink (see below).  The parsers are a push decoder over whatever
 // bytes the caller holds: each call answers "need more bytes", "finalize
 // marker" or "a complete frame", and throws TraceCorruptError for bytes no
 // amount of waiting can frame.  Readers differ only in where the bytes come
@@ -17,6 +19,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -24,6 +28,7 @@
 
 #include "trace/record.h"
 #include "util/byte_io.h"
+#include "util/compression.h"
 
 namespace jig {
 
@@ -56,13 +61,16 @@ class TraceCorruptError : public TraceError {
 
 namespace block_codec {
 
-// Identifies a framed format by its prefix.
+// Identifies a framed format by its prefix, and says how its writer
+// compresses blocks.
 struct Format {
   const char* magic;  // 4 bytes
   std::uint32_t version;
   const char* what;  // names the format in error messages
+  LzLevel level;
 };
-inline constexpr Format kTraceFormat{kTraceDataMagic, kTraceVersion, "trace"};
+inline constexpr Format kTraceFormat{kTraceDataMagic, kTraceVersion, "trace",
+                                     LzLevel::kDefault};
 
 enum class Status : std::uint8_t { kNeedMore, kMarker, kComplete };
 
@@ -116,6 +124,7 @@ void ParseComplete(std::span<const std::uint8_t> bytes, const char* what,
 }
 
 TraceHeader DecodeTraceHeader(std::span<const std::uint8_t> header);
+Bytes EncodeTraceHeader(const TraceHeader& header);
 
 // Inflates a .jigt record block and decodes its delta-timestamp records
 // (the delta state restarts per block) to the block's end, handing each to
@@ -133,6 +142,21 @@ void DecodeRecords(std::span<const std::uint8_t> payload, TornPayload torn,
     }
   });
 }
+
+class Encoder;
+
+// The pending .jigt block's first and last timestamps (the .jigt index
+// keys); `last` is also the next record's delta base.
+struct RecordSpan {
+  LocalMicros first = 0;
+  LocalMicros last = 0;
+};
+
+// Appends one .jigt record to the encoder's pending block, the mirror of
+// DecodeRecords: its timestamp is a delta from the block's previous record
+// (from 0 for the block's first), so every block decodes on its own.
+void AppendRecord(Encoder& encoder, const CaptureRecord& rec,
+                  RecordSpan& span);
 
 // Counts one .jigt block decoded from a file (the jig_trace_*_total
 // counters the batch and tail readers share).
@@ -178,6 +202,107 @@ class FileSource {
 
  private:
   std::FILE* file_;
+};
+
+// ---- Write half ------------------------------------------------------------
+
+// Where an encoder's bytes go.  Write lands every byte or throws
+// std::runtime_error; Flush publishes what was written to a concurrent
+// reader.
+class Sink {
+ public:
+  Sink() = default;
+  virtual ~Sink() = default;
+  Sink(const Sink&) = delete;
+  Sink& operator=(const Sink&) = delete;
+  virtual void Write(std::span<const std::uint8_t> bytes) = 0;
+  virtual void Flush() = 0;
+};
+
+// A file created (or truncated) for writing and closed on destruction.
+// Every write and flush is checked; `what` names the format in errors.
+class FileSink final : public Sink {
+ public:
+  // Throws std::runtime_error when `path` cannot be opened.
+  FileSink(const std::filesystem::path& path, const char* what);
+  ~FileSink() override;
+
+  void Write(std::span<const std::uint8_t> bytes) override;
+  void Flush() override;
+
+ private:
+  std::FILE* file_;
+  const char* what_;
+};
+
+// Writes one framed stream: the prefix on construction, one unit per cut
+// block, and the marker on Finish.  Records collect in a pending block
+// that is cut at records_per_block or on Sync, compressed at the format's
+// level.  Writers keep only what their format adds: the record encoding,
+// and the hooks below.
+class Encoder {
+ public:
+  struct Hooks {
+    // A block is cut: its unit starts at stream offset `offset` and holds
+    // `records` records.  Called before the unit is written.
+    std::function<void(std::uint64_t offset, std::uint32_t records)> on_cut;
+    // The bytes that follow the marker, starting at stream offset `offset`
+    // (the .jigt index trailer).
+    std::function<Bytes(std::uint64_t offset)> trailer;
+  };
+
+  // Writes the prefix of `format` around `header` and flushes it, so a
+  // concurrent reader can identify the stream before its first block
+  // lands.  Throws std::runtime_error when the sink fails.
+  Encoder(std::unique_ptr<Sink> sink, const Format& format,
+          std::span<const std::uint8_t> header, std::size_t records_per_block,
+          Hooks hooks = {});
+  // Finishes the stream unless Finish or Abandon ran; errors are dropped
+  // (an explicit Finish reports them).
+  ~Encoder();
+  Encoder(const Encoder&) = delete;
+  Encoder& operator=(const Encoder&) = delete;
+
+  // Appends one record: `encode(block, opens)` serializes it onto the
+  // pending block's raw bytes, `opens` saying it is the block's first.
+  // Throws std::logic_error after Finish or Abandon.
+  template <typename Encode>
+  void Append(Encode&& encode) {
+    if (closed_) throw std::logic_error("Append after Finish");
+    encode(pending_, pending_records_ == 0);
+    ++records_;
+    if (++pending_records_ >= records_per_block_) Cut();
+  }
+  // Publication point: cuts the pending records into a block (so blocks
+  // may be shorter than records_per_block) and flushes the sink.  Throws
+  // std::logic_error after Finish or Abandon.
+  void Sync();
+  // Cuts the pending records, writes the [u32 0] marker and the trailer,
+  // and flushes.  Idempotent, also after it threw.
+  void Finish();
+  // Closes the stream the way a crash leaves it: the pending block is
+  // dropped and no marker is written.  Idempotent.
+  void Abandon();
+
+  // Bytes handed to the sink: prefix, cut units, marker and trailer, never
+  // the pending block.
+  std::uint64_t bytes_written() const { return bytes_written_; }
+  std::uint64_t records() const { return records_; }
+
+ private:
+  void Cut();
+  void Write(std::span<const std::uint8_t> bytes);
+  void WriteU32(std::uint32_t v);
+
+  std::unique_ptr<Sink> sink_;
+  LzLevel level_;
+  std::size_t records_per_block_;
+  Hooks hooks_;
+  Bytes pending_;  // serialized records awaiting compression
+  std::uint32_t pending_records_ = 0;
+  std::uint64_t records_ = 0;
+  std::uint64_t bytes_written_ = 0;
+  bool closed_ = false;
 };
 
 }  // namespace block_codec

@@ -9,17 +9,26 @@
 
 #include "obs/metrics.h"
 #include "trace/block_codec.h"
-#include "util/compression.h"
 
 namespace jig {
 namespace {
 
-void EncodeU32(std::uint32_t v, std::uint8_t* b) {
-  b[0] = static_cast<std::uint8_t>(v);
-  b[1] = static_cast<std::uint8_t>(v >> 8);
-  b[2] = static_cast<std::uint8_t>(v >> 16);
-  b[3] = static_cast<std::uint8_t>(v >> 24);
-}
+// Blocking sends into a connected socket whose stream opens with the
+// hello.
+class SocketSink final : public block_codec::Sink {
+ public:
+  SocketSink(net::Socket sock, std::uint32_t source_id)
+      : sock_(std::move(sock)) {
+    Write(EncodeSocketHello(source_id));
+  }
+  void Write(std::span<const std::uint8_t> bytes) override {
+    net::SendAll(sock_, bytes.data(), bytes.size());
+  }
+  void Flush() override {}  // every send has already left
+
+ private:
+  net::Socket sock_;
+};
 
 struct SocketMetrics {
   obs::Counter& bytes = obs::MetricRegistry::Global().GetCounter(
@@ -58,6 +67,14 @@ bool DrainSocket(net::Socket& sock, std::vector<std::uint8_t>& buf) {
 
 }  // namespace
 
+Bytes EncodeSocketHello(std::uint32_t source_id) {
+  Bytes hello(kSocketHelloMagic, kSocketHelloMagic + 4);
+  ByteWriter w(hello);
+  w.U32(kSocketHelloVersion);
+  w.U32(source_id);
+  return hello;
+}
+
 std::unique_ptr<SocketTrace> SocketTrace::Open(net::Socket sock,
                                                int header_timeout_ms) {
   Handshake hs = ParseHandshake(std::move(sock), header_timeout_ms);
@@ -72,10 +89,9 @@ SocketTrace::Handshake SocketTrace::ParseHandshake(net::Socket sock,
   std::vector<std::uint8_t> buf;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(header_timeout_ms);
-  constexpr std::size_t kHelloLen = 12;  // magic + version + source id
   for (;;) {
     const bool eof = DrainSocket(sock, buf);
-    if (buf.size() >= kHelloLen) {
+    if (buf.size() >= kSocketHelloLen) {
       if (std::memcmp(buf.data(), kSocketHelloMagic, 4) != 0) {
         throw TraceCorruptError("socket trace: bad hello magic");
       }
@@ -85,11 +101,12 @@ SocketTrace::Handshake SocketTrace::ParseHandshake(net::Socket sock,
       }
       const std::uint32_t source_id = hello.U32();
       const block_codec::Frame prefix = block_codec::ParseTracePrefix(
-          std::span<const std::uint8_t>(buf).subspan(kHelloLen));
+          std::span<const std::uint8_t>(buf).subspan(kSocketHelloLen));
       if (prefix.status == block_codec::Status::kComplete) {
         const TraceHeader header = block_codec::DecodeTraceHeader(prefix.body);
-        buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(
-                                                 kHelloLen + prefix.size));
+        buf.erase(buf.begin(),
+                  buf.begin() + static_cast<std::ptrdiff_t>(kSocketHelloLen +
+                                                            prefix.size));
         return Handshake{std::move(sock), header, source_id, std::move(buf)};
       }
     }
@@ -268,72 +285,9 @@ SocketTraceWriter::SocketTraceWriter(net::Socket sock,
                                      const TraceHeader& header,
                                      std::uint32_t source_id,
                                      std::size_t records_per_block)
-    : sock_(std::move(sock)), records_per_block_(records_per_block) {
-  std::uint8_t hello[12];
-  std::memcpy(hello, kSocketHelloMagic, 4);
-  EncodeU32(kSocketHelloVersion, hello + 4);
-  EncodeU32(source_id, hello + 8);
-  net::SendAll(sock_, hello, sizeof hello);
-  bytes_sent_ += sizeof hello;
-
-  std::uint8_t prefix[8];
-  std::memcpy(prefix, kTraceDataMagic, 4);
-  EncodeU32(kTraceVersion, prefix + 4);
-  net::SendAll(sock_, prefix, sizeof prefix);
-  bytes_sent_ += sizeof prefix;
-  Bytes hdr;
-  SerializeHeader(header, hdr);
-  SendU32(static_cast<std::uint32_t>(hdr.size()));
-  net::SendAll(sock_, hdr.data(), hdr.size());
-  bytes_sent_ += hdr.size();
-}
-
-SocketTraceWriter::~SocketTraceWriter() {
-  try {
-    if (!finished_) Finish();
-  } catch (...) {
-    // Destructor must not throw; an explicit Finish() reports errors.
-  }
-}
-
-void SocketTraceWriter::SendU32(std::uint32_t v) {
-  std::uint8_t b[4];
-  EncodeU32(v, b);
-  net::SendAll(sock_, b, sizeof b);
-  bytes_sent_ += sizeof b;
-}
-
-void SocketTraceWriter::Append(const CaptureRecord& rec) {
-  if (finished_) throw std::logic_error("Append after Finish");
-  if (pending_count_ == 0) prev_ts_ = 0;  // blocks are self-contained
-  SerializeRecord(rec, prev_ts_, pending_);
-  prev_ts_ = rec.timestamp;
-  ++pending_count_;
-  ++records_sent_;
-  if (pending_count_ >= records_per_block_) FlushBlock();
-}
-
-void SocketTraceWriter::FlushBlock() {
-  if (pending_count_ == 0) return;
-  const auto packed = LzCompress(pending_);
-  SendU32(static_cast<std::uint32_t>(packed.size()));
-  net::SendAll(sock_, packed.data(), packed.size());
-  bytes_sent_ += packed.size();
-  pending_.clear();
-  pending_count_ = 0;
-}
-
-void SocketTraceWriter::Sync() {
-  if (finished_) throw std::logic_error("Sync after Finish");
-  FlushBlock();
-}
-
-void SocketTraceWriter::Finish() {
-  if (finished_) return;
-  FlushBlock();
-  SendU32(0);  // the finalize marker
-  finished_ = true;
-}
+    : encoder_(std::make_unique<SocketSink>(std::move(sock), source_id),
+               block_codec::kTraceFormat,
+               block_codec::EncodeTraceHeader(header), records_per_block) {}
 
 TraceSet AcceptTraces(net::Listener& listener, std::size_t n,
                       int timeout_ms, bool resumable) {

@@ -41,6 +41,7 @@
 #include <span>
 #include <vector>
 
+#include "trace/block_codec.h"
 #include "trace/net.h"
 #include "trace/trace_set.h"
 
@@ -48,6 +49,11 @@ namespace jig {
 
 inline constexpr char kSocketHelloMagic[4] = {'J', 'I', 'G', 'H'};
 inline constexpr std::uint32_t kSocketHelloVersion = 1;
+inline constexpr std::size_t kSocketHelloLen = 12;  // magic, version, source
+
+// The hello a sender opens its stream with (source id 0: a standalone
+// radio).
+Bytes EncodeSocketHello(std::uint32_t source_id);
 
 class SocketTrace final : public RecordStream {
  public:
@@ -182,32 +188,24 @@ class SocketTraceWriter {
   SocketTraceWriter(net::Socket sock, const TraceHeader& header,
                     std::uint32_t source_id = 0,
                     std::size_t records_per_block = 512);
-  ~SocketTraceWriter();
-  SocketTraceWriter(const SocketTraceWriter&) = delete;
-  SocketTraceWriter& operator=(const SocketTraceWriter&) = delete;
 
-  void Append(const CaptureRecord& rec);
+  void Append(const CaptureRecord& rec) {
+    block_codec::AppendRecord(encoder_, rec, block_);
+  }
   // Cuts and sends the pending partial block so the receiver can consume
   // everything appended so far.
-  void Sync();
-  // Sends the finalize marker.  Idempotent.
-  void Finish();
+  void Sync() { encoder_.Sync(); }
+  // Sends the finalize marker.  Idempotent; the destructor calls it.
+  void Finish() { encoder_.Finish(); }
 
-  std::uint64_t records_sent() const { return records_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
+  std::uint64_t records_sent() const { return encoder_.records(); }
+  std::uint64_t bytes_sent() const {
+    return kSocketHelloLen + encoder_.bytes_written();
+  }
 
  private:
-  void FlushBlock();
-  void SendU32(std::uint32_t v);
-
-  net::Socket sock_;
-  std::size_t records_per_block_;
-  Bytes pending_;
-  std::size_t pending_count_ = 0;
-  LocalMicros prev_ts_ = 0;
-  bool finished_ = false;
-  std::uint64_t records_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
+  block_codec::RecordSpan block_;
+  block_codec::Encoder encoder_;
 };
 
 // Accepts `n` socket trace streams on `listener` and returns them as a

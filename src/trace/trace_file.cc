@@ -1,25 +1,27 @@
 #include "trace/trace_file.h"
 
 #include <cstring>
-#include <stdexcept>
+#include <memory>
 #include <string>
-
-#include "trace/framed_io.h"
-#include "util/compression.h"
 
 namespace jig {
 namespace {
 
-constexpr const char* kWhat = "trace file";
-
-void WriteAll(std::FILE* f, const void* data, std::size_t n) {
-  framed_io::WriteAll(f, data, n, kWhat);
-}
-void WriteU32(std::FILE* f, std::uint32_t v) {
-  framed_io::WriteU32(f, v, kWhat);
-}
-void WriteU64(std::FILE* f, std::uint64_t v) {
-  framed_io::WriteU64(f, v, kWhat);
+// The index trailer: one entry per block, then where the index starts.
+Bytes EncodeIndex(const std::vector<BlockIndexEntry>& index,
+                  std::uint64_t index_offset) {
+  Bytes out;
+  ByteWriter w(out);
+  w.U32(static_cast<std::uint32_t>(index.size()));
+  for (const BlockIndexEntry& e : index) {
+    w.U64(e.file_offset);
+    w.I64(e.first_timestamp);
+    w.I64(e.last_timestamp);
+    w.U32(e.record_count);
+  }
+  w.U64(index_offset);
+  w.Raw({reinterpret_cast<const std::uint8_t*>(kTraceIndexMagic), 4});
+  return out;
 }
 
 }  // namespace
@@ -27,84 +29,18 @@ void WriteU64(std::FILE* f, std::uint64_t v) {
 TraceFileWriter::TraceFileWriter(const std::filesystem::path& path,
                                  const TraceHeader& header,
                                  std::size_t records_per_block)
-    : records_per_block_(records_per_block) {
-  file_ = std::fopen(path.string().c_str(), "wb");
-  if (!file_) {
-    throw std::runtime_error("cannot open trace for writing: " +
-                             path.string());
-  }
-  WriteAll(file_, kTraceDataMagic, 4);
-  WriteU32(file_, kTraceVersion);
-  Bytes hdr;
-  SerializeHeader(header, hdr);
-  WriteU32(file_, static_cast<std::uint32_t>(hdr.size()));
-  WriteAll(file_, hdr.data(), hdr.size());
-  // Publish the header immediately: a tail reader can identify the radio
-  // before the first block lands.
-  std::fflush(file_);
-}
-
-TraceFileWriter::~TraceFileWriter() {
-  try {
-    if (!finished_) Finish();
-  } catch (...) {
-    // Destructor must not throw; an explicit Finish() reports errors.
-  }
-  if (file_) std::fclose(file_);
-}
-
-void TraceFileWriter::Append(const CaptureRecord& rec) {
-  if (finished_) throw std::logic_error("Append after Finish");
-  if (pending_count_ == 0) {
-    block_first_ts_ = rec.timestamp;
-    prev_ts_ = 0;  // each block is self-contained for seekability
-  }
-  SerializeRecord(rec, prev_ts_, pending_);
-  prev_ts_ = rec.timestamp;
-  ++pending_count_;
-  ++records_written_;
-  if (pending_count_ >= records_per_block_) FlushBlock();
-}
-
-void TraceFileWriter::FlushBlock() {
-  if (pending_count_ == 0) return;
-  const auto packed = LzCompress(pending_);
-  BlockIndexEntry entry;
-  entry.file_offset = static_cast<std::uint64_t>(std::ftell(file_));
-  entry.first_timestamp = block_first_ts_;
-  entry.last_timestamp = prev_ts_;
-  entry.record_count = pending_count_;
-  index_.push_back(entry);
-
-  WriteU32(file_, static_cast<std::uint32_t>(packed.size()));
-  WriteAll(file_, packed.data(), packed.size());
-  pending_.clear();
-  pending_count_ = 0;
-}
-
-void TraceFileWriter::Sync() {
-  if (finished_) throw std::logic_error("Sync after Finish");
-  FlushBlock();
-  if (std::fflush(file_) != 0) throw std::runtime_error("trace file: flush");
-}
-
-void TraceFileWriter::Finish() {
-  if (finished_) return;
-  FlushBlock();
-  WriteU32(file_, 0);  // terminator — the finalize marker tail readers see
-  const auto index_offset = static_cast<std::uint64_t>(std::ftell(file_));
-  WriteU32(file_, static_cast<std::uint32_t>(index_.size()));
-  for (const auto& e : index_) {
-    WriteU64(file_, e.file_offset);
-    WriteU64(file_, static_cast<std::uint64_t>(e.first_timestamp));
-    WriteU64(file_, static_cast<std::uint64_t>(e.last_timestamp));
-    WriteU32(file_, e.record_count);
-  }
-  WriteU64(file_, index_offset);
-  WriteAll(file_, kTraceIndexMagic, 4);
-  if (std::fflush(file_) != 0) throw std::runtime_error("trace file: flush");
-  finished_ = true;
-}
+    : encoder_(std::make_unique<block_codec::FileSink>(path, "trace file"),
+               block_codec::kTraceFormat,
+               block_codec::EncodeTraceHeader(header), records_per_block,
+               {.on_cut =
+                    [this](std::uint64_t offset, std::uint32_t records) {
+                      index_.push_back(
+                          {offset, block_.first, block_.last, records});
+                    },
+                .trailer =
+                    [this](std::uint64_t index_offset) {
+                      return EncodeIndex(index_, index_offset);
+                    }}) {}
 
 TraceFileReader::TraceFileReader(const std::filesystem::path& path)
     : file_(path) {

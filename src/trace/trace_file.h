@@ -11,12 +11,16 @@
 //   index: per block {file_offset, first_ts, last_ts, record_count}
 //   [u64 index_offset][magic "JIGX"]
 //
-// The index allows seeking to a time range without decompressing the whole
-// file — TraceFileReader::SeekToTimestamp uses it, as do the bootstrap
-// passes which only need the first second of data.
+// TraceFileReader finds its blocks through the index, and its
+// SeekToTimestamp uses the timestamps to skip blocks without decompressing
+// them.  The merge never seeks: its bootstrap pass reads every stream from
+// the front.  Beyond the reader, only `jigtool info`, `offline_merge` and
+// the benchmark read the index's counts and timestamps.
+//
+// The data region is written and read through the block codec
+// (trace/block_codec.h); the index trailer is all this file adds.
 #pragma once
 
-#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <vector>
@@ -41,37 +45,28 @@ class TraceFileWriter {
  public:
   TraceFileWriter(const std::filesystem::path& path, const TraceHeader& header,
                   std::size_t records_per_block = 512);
-  ~TraceFileWriter();
 
-  TraceFileWriter(const TraceFileWriter&) = delete;
-  TraceFileWriter& operator=(const TraceFileWriter&) = delete;
-
-  void Append(const CaptureRecord& rec);
+  void Append(const CaptureRecord& rec) {
+    block_codec::AppendRecord(encoder_, rec, block_);
+  }
   // Live-writer publication point: cuts the pending records into a block
   // (blocks may therefore be shorter than records_per_block) and flushes
   // the stdio buffer, so a concurrent TailFileTrace sees everything
-  // appended so far.  No-op when nothing is pending.
-  void Sync();
-  // Flushes any partial block and writes the index trailer — the explicit
-  // finalize marker ([u32 0] terminator) tail readers watch for.  Called by
-  // the destructor if not called explicitly; explicit callers get
-  // exceptions.
-  void Finish();
+  // appended so far.
+  void Sync() { encoder_.Sync(); }
+  // Flushes any partial block and writes the [u32 0] terminator — the
+  // explicit finalize marker tail readers watch for — and the index
+  // trailer.  Called by the destructor if not called explicitly; explicit
+  // callers get exceptions.
+  void Finish() { encoder_.Finish(); }
 
-  std::uint64_t records_written() const { return records_written_; }
+  std::uint64_t records_written() const { return encoder_.records(); }
 
  private:
-  void FlushBlock();
-
-  std::FILE* file_ = nullptr;
-  std::size_t records_per_block_;
-  Bytes pending_;               // serialized records awaiting compression
-  std::uint32_t pending_count_ = 0;
-  LocalMicros block_first_ts_ = 0;
-  LocalMicros prev_ts_ = 0;  // delta-coding state, reset per block
   std::vector<BlockIndexEntry> index_;
-  std::uint64_t records_written_ = 0;
-  bool finished_ = false;
+  block_codec::RecordSpan block_;  // the pending block's timestamps
+  // Last member: its destructor finishes the file, which writes index_.
+  block_codec::Encoder encoder_;
 };
 
 class TraceFileReader {

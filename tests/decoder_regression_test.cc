@@ -539,9 +539,7 @@ Outcome DrainSocket(const Bytes& stream) {
   net::Socket receiver(fds[0]);
   {
     net::Socket sender(fds[1]);
-    Bytes hello(kSocketHelloMagic, kSocketHelloMagic + 4);
-    PutU32(hello, kSocketHelloVersion);
-    PutU32(hello, 0);  // source id
+    const Bytes hello = EncodeSocketHello(/*source_id=*/0);
     net::SendAll(sender, hello.data(), hello.size());
     net::SendAll(sender, stream.data(), stream.size());
   }
@@ -797,6 +795,16 @@ TEST_F(DecoderRegressionTest, EveryBlockWriterKeepsItsBytes) {
     EXPECT_EQ(out.bytes_counter, pin.bytes_counter);
     EXPECT_EQ(out.records, pin.records);
   }
+}
+
+// /dev/full accepts the open and every buffered write, then fails the
+// flush that publishes the header.  A writer must report that instead of
+// constructing as if its header had landed.
+TEST(WriterRegression, FailedHeaderPublishThrows) {
+  const fs::path full = "/dev/full";
+  if (!fs::exists(full)) GTEST_SKIP() << "no /dev/full on this system";
+  EXPECT_THROW(TraceFileWriter(full, PinHeader()), std::runtime_error);
+  EXPECT_THROW(SpillSegmentWriter(full, {1, 0}), std::runtime_error);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 // the distributed topology may change WHERE records travel, never WHAT
 // the global unifier says about them.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -659,6 +661,104 @@ TEST_F(DistributedTest, RedialWithSameSourceResumesInsteadOfDuplicating) {
   EXPECT_GE(obs::MetricRegistry::Global().Collect().Value(
                 "jig_socket_trace_resumes_total"),
             resumes_before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Stray connections mid-merge (regression).
+//
+// Pre-fix, a connection to the root's port that never sent a valid hello —
+// a port probe that connects and closes, or a client speaking some other
+// protocol — made RootSession::Run throw from its re-dial loop (this test
+// then failed on the root.Run throw), and the wings died on a broken pipe.
+// Post-fix the root logs and drops such a connection, and the merged
+// stream is byte-identical to the single-node run.
+
+TEST_F(DistributedTest, StrayConnectionsMidMergeAreDropped) {
+  TraceSet mem = MultiChannelNetwork(66, Seconds(2)).Build();
+  const fs::path all = dir_ / "all";
+  mem.WriteDirectory(all);
+  TraceSet full = TraceSet::OpenDirectory(all);
+  const MergeResult batch = ReferenceMerge(full);
+  ASSERT_GT(batch.jframes.size(), 50u);
+
+  TraceSet files = TraceSet::OpenDirectory(all);
+  const std::size_t n = files.size();
+  std::vector<TraceHeader> headers;
+  std::vector<std::vector<CaptureRecord>> records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    headers.push_back(files.at(i).header());
+    while (auto rec = files.at(i).Next()) records[i].push_back(*rec);
+  }
+
+  RootConfig rc;
+  rc.n_streams = n;
+  RootSession root(rc);
+  const std::uint16_t port = root.port();
+
+  // Each sender relays the first half of its records, then holds the rest
+  // until the strays have come and gone, so the root is mid-merge when
+  // they arrive.
+  std::atomic<std::size_t> connected{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> senders;
+  for (std::size_t i = 0; i < n; ++i) {
+    senders.emplace_back([&, i] {
+      try {
+        SocketTraceWriter writer(net::ConnectTo("127.0.0.1", port),
+                                 headers[i], /*source_id=*/1,
+                                 /*records_per_block=*/32);
+        ++connected;
+        const std::size_t half = records[i].size() / 2;
+        for (std::size_t j = 0; j < half; ++j) writer.Append(records[i][j]);
+        writer.Sync();
+        while (!release) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        for (std::size_t j = half; j < records[i].size(); ++j) {
+          writer.Append(records[i][j]);
+        }
+        writer.Finish();
+      } catch (const std::exception&) {
+        // The root is gone; the assertions below report why.
+      }
+    });
+  }
+  // The strays queue behind every sender, so the accept phase takes the
+  // senders and the merge loop meets the strays.
+  std::thread strays([&] {
+    while (connected < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    net::ConnectTo("127.0.0.1", port);  // connect and close at once
+    net::Socket bad = net::ConnectTo("127.0.0.1", port);
+    const Bytes bad_hello = {'N', 'O', 'P', 'E', 1, 0, 0, 0, 0, 0, 0, 0};
+    net::SendAll(bad, bad_hello.data(), bad_hello.size());
+    // The root closes the bad stray once it has dealt with it.
+    pollfd pfd{bad.fd(), POLLIN, 0};
+    std::uint8_t byte;
+    if (::poll(&pfd, 1, /*timeout_ms=*/10'000) == 1) {
+      EXPECT_EQ(::recv(bad.fd(), &byte, 1, 0), 0);
+    } else {
+      ADD_FAILURE() << "the root never dealt with the bad-hello stray";
+    }
+    release = true;
+  });
+  const auto join_all = [&] {
+    strays.join();
+    release = true;
+    for (auto& t : senders) t.join();
+  };
+
+  std::vector<JFrame> streamed;
+  try {
+    root.Run([&streamed](JFrame&& jf) { streamed.push_back(std::move(jf)); });
+  } catch (...) {
+    release = true;
+    join_all();
+    throw;
+  }
+  join_all();
+  ExpectIdenticalStreams(streamed, batch.jframes);
 }
 
 // The stream-level seam the root builds on, pinned without a merge: a
