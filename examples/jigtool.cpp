@@ -353,6 +353,9 @@ int CmdCollect(const char* out_dir, long port, long n,
     obs::WriteFileAtomic(ready_file, std::to_string(listener.port()));
   }
   TraceSet traces = AcceptTraces(listener, static_cast<std::size_t>(n));
+  // Each stream is read once, front to back: nothing rewinds it, so every
+  // block is freed as soon as it is written out.
+  for (std::size_t i = 0; i < traces.size(); ++i) traces.at(i).EndRewinds();
   std::filesystem::create_directories(out_dir);
   std::vector<std::unique_ptr<TraceFileWriter>> writers;
   std::vector<SocketTrace*> sockets;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <set>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -165,13 +163,15 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
   TraceSet traces = AcceptTraces(impl.listener, impl.config.n_streams,
                                  impl.config.accept_timeout_ms,
                                  /*resumable=*/true);
-  // Which wing each radio's stream arrived from: the boundary-overlap
-  // attribution for the reconciliation counter below.
-  std::unordered_map<RadioId, std::uint32_t> wing_of;
+  // Which wing each radio's stream arrived from, indexed by radio id: the
+  // boundary-overlap attribution for the reconciliation counter below.
+  std::vector<std::uint32_t> wing_of;
   std::vector<SocketTrace*> sockets;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     auto& st = dynamic_cast<SocketTrace&>(traces.at(i));
-    wing_of.emplace(st.header().radio, st.source_id());
+    const RadioId radio = st.header().radio;
+    if (radio >= wing_of.size()) wing_of.resize(radio + std::size_t{1});
+    wing_of[radio] = st.source_id();
     sockets.push_back(&st);
   }
 
@@ -179,15 +179,15 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
   // every radio's copy of a frame regardless of which wing relayed it, so
   // a frame heard across the wing boundary collapses into ONE jframe here
   // (on a wing alone it would have produced partial groups).  The wrapper
-  // makes that visible: count jframes whose instances span wings.
+  // makes that visible: count jframes whose instances span wings.  Every
+  // instance comes from one of the accepted streams, so each radio has a
+  // wing.
   const auto counting_sink = [&impl, &wing_of, &sink](JFrame&& jf) {
     ++impl.jframes;
-    std::set<std::uint32_t> wings;
-    for (const FrameInstance& inst : jf.instances) {
-      const auto it = wing_of.find(inst.radio);
-      if (it != wing_of.end()) wings.insert(it->second);
-    }
-    if (wings.size() > 1) {
+    const auto other_wing = [&wing_of, &jf](const FrameInstance& inst) {
+      return wing_of[inst.radio] != wing_of[jf.instances.front().radio];
+    };
+    if (std::ranges::any_of(jf.instances, other_wing)) {
       ++impl.boundary_jframes;
       impl.boundary_counter.Add(1);
     }
@@ -196,20 +196,26 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
 
   MergeStreamStats result;
   MergeSession session(traces, impl.config.merge, counting_sink);
+  // Connections accepted mid-merge whose handshake has not completed.
+  std::vector<SocketHandshake> pending;
   for (;;) {
     // Pick up re-dialing wings before pulling data: a dead uplink's
     // stream is parked (resumable) and only a resumed connection can
-    // unpark it.  Any other connection mid-run — an unknown identity, or
-    // a peer that never completes a valid handshake (a port probe) — is
-    // not one of our n_streams: drop it rather than let a stray dial grow
-    // or end the merge.  (A stray that connects and stays silent still
-    // holds this loop for up to accept_timeout_ms.)
+    // unpark it.  Every handshake is stepped without blocking, so a
+    // connection that stays silent holds nothing up.  Any other
+    // connection mid-run — an unknown identity, or a peer that never
+    // completes a valid handshake in accept_timeout_ms (a port probe) —
+    // is not one of our n_streams: drop it rather than let a stray dial
+    // grow or end the merge.
     for (;;) {
       net::Socket fresh = impl.listener.TryAccept();
       if (!fresh.valid()) break;
+      pending.emplace_back(std::move(fresh), impl.config.accept_timeout_ms);
+    }
+    std::erase_if(pending, [&sockets](SocketHandshake& hs) {
       try {
-        auto stranger = SocketTrace::OpenOrResume(
-            std::move(fresh), sockets, impl.config.accept_timeout_ms);
+        if (!hs.Step()) return false;
+        auto stranger = SocketTrace::OpenOrResume(std::move(hs), sockets);
         if (stranger) {
           std::fprintf(stderr,
                        "root: dropping unexpected stream (source %u "
@@ -219,7 +225,8 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
       } catch (const TraceError& e) {
         std::fprintf(stderr, "root: dropping connection: %s\n", e.what());
       }
-    }
+      return true;
+    });
     // Drain every wing uplink first — see SocketTrace::Ingest for why
     // skipping currently-unneeded streams can deadlock the senders.
     for (SocketTrace* s : sockets) s->Ingest();

@@ -379,6 +379,13 @@ struct MergeSession::Impl {
       }
       live.push_back(std::move(ls));
     }
+    // The unifiers' rewind was the last one: from here on a stream may
+    // free each block once it is consumed.
+    for (ChannelShard& shard : shards) {
+      for (std::size_t i = 0; i < shard.traces.size(); ++i) {
+        shard.traces.at(i).EndRewinds();
+      }
+    }
     workers = ResolveWorkers(config.threads, shards.size());
     if (workers > 1) StartPool();
   }

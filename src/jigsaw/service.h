@@ -351,6 +351,7 @@ class FrontierTrace final : public RecordStream {
     pos_ = 0;
     inner_->Rewind();
   }
+  void EndRewinds() override { inner_->EndRewinds(); }
   bool Finalized() const override { return inner_->Finalized(); }
 
   std::uint64_t frontier() const { return high_; }

@@ -75,70 +75,78 @@ Bytes EncodeSocketHello(std::uint32_t source_id) {
   return hello;
 }
 
-std::unique_ptr<SocketTrace> SocketTrace::Open(net::Socket sock,
-                                               int header_timeout_ms) {
-  Handshake hs = ParseHandshake(std::move(sock), header_timeout_ms);
-  return std::unique_ptr<SocketTrace>(
-      new SocketTrace(std::move(hs.sock), hs.header, hs.source_id,
-                      std::move(hs.leftover)));
+SocketHandshake::SocketHandshake(net::Socket sock, int timeout_ms)
+    : sock_(std::move(sock)),
+      deadline_(std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(timeout_ms)) {
+  sock_.SetNonBlocking();
 }
 
-SocketTrace::Handshake SocketTrace::ParseHandshake(net::Socket sock,
-                                                   int header_timeout_ms) {
-  sock.SetNonBlocking();
-  std::vector<std::uint8_t> buf;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(header_timeout_ms);
-  for (;;) {
-    const bool eof = DrainSocket(sock, buf);
-    if (buf.size() >= kSocketHelloLen) {
-      if (std::memcmp(buf.data(), kSocketHelloMagic, 4) != 0) {
-        throw TraceCorruptError("socket trace: bad hello magic");
-      }
-      ByteReader hello(std::span<const std::uint8_t>(buf).subspan(4, 8));
-      if (hello.U32() != kSocketHelloVersion) {
-        throw TraceCorruptError("socket trace: unsupported hello version");
-      }
-      const std::uint32_t source_id = hello.U32();
-      const block_codec::Frame prefix = block_codec::ParseTracePrefix(
-          std::span<const std::uint8_t>(buf).subspan(kSocketHelloLen));
-      if (prefix.status == block_codec::Status::kComplete) {
-        const TraceHeader header = block_codec::DecodeTraceHeader(prefix.body);
-        buf.erase(buf.begin(),
-                  buf.begin() + static_cast<std::ptrdiff_t>(kSocketHelloLen +
+bool SocketHandshake::Step() {
+  if (complete_) return true;
+  const bool eof = DrainSocket(sock_, buf_);
+  if (buf_.size() >= kSocketHelloLen) {
+    if (std::memcmp(buf_.data(), kSocketHelloMagic, 4) != 0) {
+      throw TraceCorruptError("socket trace: bad hello magic");
+    }
+    ByteReader hello(std::span<const std::uint8_t>(buf_).subspan(4, 8));
+    if (hello.U32() != kSocketHelloVersion) {
+      throw TraceCorruptError("socket trace: unsupported hello version");
+    }
+    const std::uint32_t source_id = hello.U32();
+    const block_codec::Frame prefix = block_codec::ParseTracePrefix(
+        std::span<const std::uint8_t>(buf_).subspan(kSocketHelloLen));
+    if (prefix.status == block_codec::Status::kComplete) {
+      header_ = block_codec::DecodeTraceHeader(prefix.body);
+      source_id_ = source_id;
+      buf_.erase(buf_.begin(),
+                 buf_.begin() + static_cast<std::ptrdiff_t>(kSocketHelloLen +
                                                             prefix.size));
-        return Handshake{std::move(sock), header, source_id, std::move(buf)};
-      }
+      complete_ = true;
+      return true;
     }
-    if (eof) {
-      throw TraceTruncatedError(
-          "socket trace: peer closed before the header arrived");
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      throw TraceTruncatedError("socket trace: header timed out");
-    }
+  }
+  if (eof) {
+    throw TraceTruncatedError(
+        "socket trace: peer closed before the header arrived");
+  }
+  if (std::chrono::steady_clock::now() >= deadline_) {
+    throw TraceTruncatedError("socket trace: header timed out");
+  }
+  return false;
+}
+
+void SocketHandshake::Wait() {
+  while (!Step()) {
     const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    pollfd pfd{sock.fd(), POLLIN, 0};
-    ::poll(&pfd, 1, static_cast<int>(remaining.count()) + 1);
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline_ - std::chrono::steady_clock::now());
+    pollfd pfd{sock_.fd(), POLLIN, 0};
+    ::poll(&pfd, 1,
+           static_cast<int>(std::max<std::int64_t>(remaining.count(), 0)) +
+               1);
   }
 }
 
-SocketTrace::SocketTrace(net::Socket sock, TraceHeader header,
-                         std::uint32_t source_id,
-                         std::vector<std::uint8_t> leftover)
-    : sock_(std::move(sock)),
-      header_(header),
-      source_id_(source_id),
-      buf_(std::move(leftover)) {}
+std::unique_ptr<SocketTrace> SocketTrace::Open(net::Socket sock,
+                                               int header_timeout_ms) {
+  SocketHandshake hs(std::move(sock), header_timeout_ms);
+  hs.Wait();
+  return std::unique_ptr<SocketTrace>(new SocketTrace(std::move(hs)));
+}
+
+SocketTrace::SocketTrace(SocketHandshake hs)
+    : sock_(std::move(hs.sock_)),
+      header_(hs.header_),
+      source_id_(hs.source_id_),
+      buf_(std::move(hs.buf_)) {}
 
 bool SocketTrace::Pump() {
   if (finalized_) return false;
-  const std::size_t before = records_.size();
+  const std::size_t before = units_.size();
   // A handshake's leftover may hold complete units; afterwards buf_ only
-  // ever carries one partial unit, so this decodes nothing.
-  if (const std::size_t used = DecodeUnits(buf_)) {
+  // ever carries one partial unit, so this queues nothing.
+  if (const std::size_t used = QueueUnits(buf_)) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(used));
     buf_.shrink_to_fit();
   }
@@ -152,7 +160,7 @@ bool SocketTrace::Pump() {
     Metrics().bytes.Add(r.n);
     Consume(chunk, r.n);
   }
-  return finalized_ || records_.size() > before;
+  return finalized_ || units_.size() > before;
 }
 
 void SocketTrace::Consume(const std::uint8_t* data, std::size_t n) {
@@ -162,7 +170,7 @@ void SocketTrace::Consume(const std::uint8_t* data, std::size_t n) {
   while (!buf_.empty()) {
     const block_codec::Frame unit = block_codec::ParseUnit(buf_);
     if (unit.status != block_codec::Status::kNeedMore) {
-      DecodeUnits(buf_);
+      QueueUnits(buf_);
       buf_.clear();
       break;
     }
@@ -173,11 +181,11 @@ void SocketTrace::Consume(const std::uint8_t* data, std::size_t n) {
     off += take;
   }
   if (finalized_) return;
-  const std::size_t used = off + DecodeUnits({data + off, n - off});
+  const std::size_t used = off + QueueUnits({data + off, n - off});
   buf_.assign(data + used, data + n);
 }
 
-std::size_t SocketTrace::DecodeUnits(std::span<const std::uint8_t> bytes) {
+std::size_t SocketTrace::QueueUnits(std::span<const std::uint8_t> bytes) {
   std::size_t off = 0;
   for (;;) {
     const block_codec::Frame unit =
@@ -193,21 +201,42 @@ std::size_t SocketTrace::DecodeUnits(std::span<const std::uint8_t> bytes) {
       case block_codec::Status::kComplete:
         break;
     }
-    // Inflated straight from the received bytes, never copied first.
-    block_codec::DecodeRecords(
-        unit.body, block_codec::TornPayload::kCorrupt, "socket trace",
-        [this](CaptureRecord&& rec) {
-          // A resumed sender replays from record zero; drop what the old
-          // connection already delivered so no record surfaces twice.
-          if (resume_skip_ > 0) {
-            --resume_skip_;
-            return;
-          }
-          records_.push_back(std::move(rec));
-        });
-    Metrics().blocks.Add(1);
     off += unit.size;
+    Unit& queued = units_.emplace_back();
+    queued.payload.assign(unit.body.begin(), unit.body.end());
+    retained_bytes_ += queued.payload.size();
+    if (resume_skip_ == 0) continue;
+    // A resumed sender replays from record zero: drop what the old
+    // connections already delivered so no record surfaces twice.  The
+    // block is inflated to count it; a block straddling the skip point
+    // keeps the records past it, decoded.
+    Decode(queued);
+    const std::size_t drop = static_cast<std::size_t>(
+        std::min<std::uint64_t>(resume_skip_, queued.records.size()));
+    resume_skip_ -= drop;
+    if (drop == queued.records.size()) {
+      units_.pop_back();
+      continue;
+    }
+    queued.records.erase(queued.records.begin(),
+                         queued.records.begin() +
+                             static_cast<std::ptrdiff_t>(drop));
+    queued.count = queued.records.size();
   }
+}
+
+void SocketTrace::Decode(Unit& unit) {
+  std::vector<CaptureRecord> records;
+  block_codec::DecodeRecords(
+      unit.payload, block_codec::TornPayload::kCorrupt, "socket trace",
+      [&records](CaptureRecord&& rec) { records.push_back(std::move(rec)); });
+  Metrics().blocks.Add(1);
+  Metrics().records.Add(records.size());
+  retained_bytes_ -= unit.payload.size();
+  Bytes().swap(unit.payload);
+  unit.records = std::move(records);
+  unit.count = unit.records.size();
+  unit.decoded = true;
 }
 
 std::optional<CaptureRecord> SocketTrace::Next() {
@@ -217,7 +246,21 @@ std::optional<CaptureRecord> SocketTrace::Next() {
 }
 
 const CaptureRecord* SocketTrace::NextRef() {
-  while (pos_ >= records_.size()) {
+  for (;;) {
+    if (cur_ < units_.size()) {
+      Unit& unit = units_[cur_];
+      if (!unit.decoded) Decode(unit);
+      if (pos_ < unit.records.size()) return &unit.records[pos_++];
+      // The block is consumed; after the latch nothing replays it.
+      if (rewinds_ended_) {
+        released_records_ += unit.records.size();
+        units_.pop_front();
+      } else {
+        ++cur_;
+      }
+      pos_ = 0;
+      continue;
+    }
     if (!Pump()) {
       if (peer_eof_ && !finalized_) {
         // A resumable stream parks at the disconnect and waits for
@@ -233,52 +276,97 @@ const CaptureRecord* SocketTrace::NextRef() {
       return nullptr;
     }
   }
-  Metrics().records.Add(1);
-  return &records_[pos_++];
+}
+
+void SocketTrace::Rewind() {
+  if (rewinds_ended_) {
+    throw std::logic_error("SocketTrace::Rewind after EndRewinds");
+  }
+  cur_ = 0;
+  pos_ = 0;
+}
+
+void SocketTrace::EndRewinds() {
+  if (rewinds_ended_) return;
+  rewinds_ended_ = true;
+  // Every block behind the cursor is consumed for good.
+  for (; cur_ > 0; --cur_) {
+    released_records_ += units_.front().records.size();
+    units_.pop_front();
+  }
+}
+
+std::uint64_t SocketTrace::RecordsReceived() {
+  std::uint64_t n = released_records_;
+  for (Unit& unit : units_) {
+    if (!unit.count) {
+      std::size_t records = 0;
+      try {
+        block_codec::DecodeRecords(
+            unit.payload, block_codec::TornPayload::kCorrupt, "socket trace",
+            [&records](CaptureRecord&&) { ++records; });
+      } catch (const TraceCorruptError&) {
+        // The consumer throws when it reaches this block, so nothing
+        // after it ever surfaces: the count can stop here.
+        break;
+      }
+      unit.count = records;
+    }
+    n += *unit.count;
+  }
+  return n;
 }
 
 void SocketTrace::Resume(net::Socket sock, int header_timeout_ms) {
   if (finalized_) {
     throw std::logic_error("SocketTrace::Resume: stream already finalized");
   }
-  Handshake hs = ParseHandshake(std::move(sock), header_timeout_ms);
-  if (hs.source_id != source_id_ || hs.header.radio != header_.radio) {
+  SocketHandshake hs(std::move(sock), header_timeout_ms);
+  hs.Wait();
+  if (hs.source_id_ != source_id_ || hs.header_.radio != header_.radio) {
     throw TraceCorruptError(
         "socket trace: resumed connection identity mismatch (expected "
         "source " +
         std::to_string(source_id_) + " radio " +
         std::to_string(header_.radio) + ", got source " +
-        std::to_string(hs.source_id) + " radio " +
-        std::to_string(hs.header.radio) + ")");
+        std::to_string(hs.source_id_) + " radio " +
+        std::to_string(hs.header_.radio) + ")");
   }
   AdoptHandshake(std::move(hs));
 }
 
-void SocketTrace::AdoptHandshake(Handshake hs) {
-  sock_ = std::move(hs.sock);
+void SocketTrace::AdoptHandshake(SocketHandshake hs) {
+  sock_ = std::move(hs.sock_);
   // Partial-block bytes from the dead connection can never complete; the
   // from-zero replay re-covers them.
-  buf_ = std::move(hs.leftover);
+  buf_ = std::move(hs.buf_);
   peer_eof_ = false;
-  resume_skip_ = records_.size();
+  resume_skip_ = RecordsReceived();
   Metrics().resumes.Add(1);
 }
 
 std::unique_ptr<SocketTrace> SocketTrace::OpenOrResume(
     net::Socket sock, const std::vector<SocketTrace*>& existing,
     int header_timeout_ms) {
-  Handshake hs = ParseHandshake(std::move(sock), header_timeout_ms);
+  SocketHandshake hs(std::move(sock), header_timeout_ms);
+  hs.Wait();
+  return OpenOrResume(std::move(hs), existing);
+}
+
+std::unique_ptr<SocketTrace> SocketTrace::OpenOrResume(
+    SocketHandshake hs, const std::vector<SocketTrace*>& existing) {
+  if (!hs.complete_) {
+    throw std::logic_error("SocketTrace::OpenOrResume: handshake incomplete");
+  }
   for (SocketTrace* s : existing) {
     if (s == nullptr || s->Finalized()) continue;
-    if (s->source_id() == hs.source_id &&
-        s->header().radio == hs.header.radio) {
+    if (s->source_id() == hs.source_id_ &&
+        s->header().radio == hs.header_.radio) {
       s->AdoptHandshake(std::move(hs));
       return nullptr;
     }
   }
-  return std::unique_ptr<SocketTrace>(
-      new SocketTrace(std::move(hs.sock), hs.header, hs.source_id,
-                      std::move(hs.leftover)));
+  return std::unique_ptr<SocketTrace>(new SocketTrace(std::move(hs)));
 }
 
 SocketTraceWriter::SocketTraceWriter(net::Socket sock,

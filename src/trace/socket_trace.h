@@ -25,15 +25,20 @@
 //                      cut off mid-stream.  TraceTruncatedError, thrown
 //                      once everything received has been consumed.
 //   * corruption     — bad magic/version, garbage block length, or a
-//                      complete block that does not parse.
-//                      TraceCorruptError; reconnecting cannot help.
+//                      complete block that does not parse (thrown when
+//                      the consumer reaches it).  TraceCorruptError;
+//                      reconnecting cannot help.
 //
-// Decoded records are retained in memory so Rewind() works — the merge's
-// global late-bootstrap pass re-reads every trace from offset zero, and a
-// socket cannot seek.  This makes a SocketTrace's footprint O(records),
-// like MemoryTrace; the two-level topology bounds it per node.
+// What arrives stays compressed: Ingest queues each complete unit's LZ
+// payload, and a block is inflated only when the consumer reaches it.  A
+// block decoded before EndRewinds() keeps its records so Rewind() replays
+// them without decoding twice (the merge's late-bootstrap pass re-reads
+// every stream from offset zero, and a socket cannot seek).  After the
+// latch each unit is freed once consumed, so the footprint is the
+// compressed backlog plus one decoded block.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -55,6 +60,35 @@ inline constexpr std::size_t kSocketHelloLen = 12;  // magic, version, source
 // radio).
 Bytes EncodeSocketHello(std::uint32_t source_id);
 
+// A fresh connection's hello + trace header, read without blocking: the
+// one handshake parser behind Open, Resume, OpenOrResume and a listening
+// root's not-yet-identified connections.
+class SocketHandshake {
+ public:
+  // Switches `sock` to non-blocking; the handshake must complete within
+  // timeout_ms.
+  SocketHandshake(net::Socket sock, int timeout_ms);
+
+  // Reads what the socket holds right now and parses as far as it goes.
+  // Returns true once the hello and trace header are complete, false while
+  // they are still arriving.  Throws TraceCorruptError on a bad
+  // hello/magic/version, TraceTruncatedError if the peer closes (or the
+  // timeout passes) first.
+  bool Step();
+  // Steps until complete, sleeping in poll() between reads.
+  void Wait();
+
+ private:
+  friend class SocketTrace;
+
+  net::Socket sock_;
+  std::chrono::steady_clock::time_point deadline_;
+  std::vector<std::uint8_t> buf_;  // received; past the header once complete
+  bool complete_ = false;
+  TraceHeader header_;
+  std::uint32_t source_id_ = 0;
+};
+
 class SocketTrace final : public RecordStream {
  public:
   // Waits (up to header_timeout_ms) for the hello + trace header, then
@@ -66,9 +100,14 @@ class SocketTrace final : public RecordStream {
 
   const TraceHeader& header() const override { return header_; }
   std::optional<CaptureRecord> Next() override;
+  // Inflates the next queued block when the current one runs out; the
+  // pointer stays valid until the next Next/NextRef/Rewind on this stream.
   const CaptureRecord* NextRef() override;
-  // Replays the retained records from the start (late bootstrap).
-  void Rewind() override { pos_ = 0; }
+  // Replays from the start (late bootstrap).  Throws std::logic_error
+  // after EndRewinds().
+  void Rewind() override;
+  // From here on each block is freed once consumed.
+  void EndRewinds() override;
   // Latched once the finalize marker arrives — never flaps back.
   bool Finalized() const override { return finalized_; }
 
@@ -87,7 +126,7 @@ class SocketTrace final : public RecordStream {
   // disconnected() reports true) until Resume() installs the replacement
   // connection.
   void set_resumable(bool on) { resumable_ = on; }
-  // Peer closed before the marker and everything received was decoded.
+  // Peer closed before the marker and everything received was consumed.
   bool disconnected() const { return peer_eof_ && !finalized_; }
 
   // Adopts a re-dialed connection for the SAME stream.  Parses the new
@@ -96,10 +135,11 @@ class SocketTrace final : public RecordStream {
   // different sender on the old port is corruption, not a resume.  The
   // re-dialing sender replays its capture from record zero (a socket
   // cannot seek, and the sender cannot know how much the old connection
-  // delivered before dying); records already retained here are consumed
-  // and dropped instead of being surfaced twice, so the merged stream
-  // sees each record exactly once.  Any partial block left over from the
-  // dead connection is discarded — the replay re-covers it.
+  // delivered before dying); as many records as the old connections
+  // delivered in complete blocks are dropped from the replay instead of
+  // being surfaced twice, so the merged stream sees each record exactly
+  // once.  Any partial block left over from the dead connection is
+  // discarded — the replay re-covers it.
   // Throws TraceCorruptError on identity mismatch / bad handshake,
   // TraceTruncatedError if the header never arrives, std::logic_error if
   // the stream already finalized.
@@ -115,68 +155,79 @@ class SocketTrace final : public RecordStream {
   static std::unique_ptr<SocketTrace> OpenOrResume(
       net::Socket sock, const std::vector<SocketTrace*>& existing,
       int header_timeout_ms = 30000);
+  // The same routing for a handshake that already completed (Step()
+  // returned true).
+  static std::unique_ptr<SocketTrace> OpenOrResume(
+      SocketHandshake hs, const std::vector<SocketTrace*>& existing);
 
-  // Drains the socket into the retained record buffer without advancing
-  // the consumer cursor.  A collector over many streams must call this
-  // on EVERY stream each poll round: the merge pulls only on the radios
-  // it currently needs, and a sender interleaving several radios over
-  // one thread blocks in send() as soon as any unread stream's kernel
-  // buffer fills — a cross-stream backpressure deadlock.  Ingest keeps
-  // every sender drained (at the cost of buffering in memory, which the
-  // retained-record design pays anyway).  May throw TraceCorruptError.
+  // Drains the socket into the block queue without advancing the
+  // consumer cursor.  A collector over many streams must call this on
+  // EVERY stream each poll round: the merge pulls only on the radios it
+  // currently needs, and a sender interleaving several radios over one
+  // thread blocks in send() as soon as any unread stream's kernel buffer
+  // fills — a cross-stream backpressure deadlock.  Ingest keeps every
+  // sender drained, at the cost of holding the backlog in memory as the
+  // compressed blocks it arrived in.  Throws TraceCorruptError on a
+  // garbage length word, or on a malformed block of a resumed sender's
+  // replay (inflated on arrival to count it against the skip); any other
+  // block that does not inflate or parse throws when NextRef reaches it.
   void Ingest() { Pump(); }
 
-  // Receive-buffer capacity in bytes.  Pump decodes as it drains, so this
-  // stays within one [len][block] unit however far the sender runs ahead
-  // (a handshake's leftover aside, until the first Pump decodes it).
+  // Receive-buffer capacity in bytes.  Pump queues complete units as it
+  // drains, so this stays within one [len][block] unit however far the
+  // sender runs ahead (a handshake's leftover aside, until the first Pump
+  // queues it).
   std::size_t buffered_capacity() const { return buf_.capacity(); }
+  // LZ payload bytes queued and not yet inflated: the compressed backlog.
+  std::size_t retained_bytes() const { return retained_bytes_; }
 
  private:
-  struct Handshake {
-    net::Socket sock;
-    TraceHeader header;
-    std::uint32_t source_id = 0;
-    std::vector<std::uint8_t> leftover;
+  // One received block: its LZ payload until inflated, its records after.
+  struct Unit {
+    Bytes payload;
+    std::vector<CaptureRecord> records;
+    bool decoded = false;
+    // Records the unit holds, once decoded or counted by Resume.
+    std::optional<std::size_t> count;
   };
-  // Blocks (up to the timeout) for the hello + trace header on a fresh
-  // connection; shared by Open and Resume.
-  static Handshake ParseHandshake(net::Socket sock, int header_timeout_ms);
+
+  explicit SocketTrace(SocketHandshake hs);
+
   // Installs a re-dialed connection: replaces the socket, discards the
   // dead connection's partial block, arms the from-zero replay skip.
-  void AdoptHandshake(Handshake hs);
+  void AdoptHandshake(SocketHandshake hs);
+  // Records delivered so far in complete blocks: released units plus
+  // queued ones, inflating a queued unit only to count it.
+  std::uint64_t RecordsReceived();
 
-  SocketTrace(net::Socket sock, TraceHeader header, std::uint32_t source_id,
-              std::vector<std::uint8_t> leftover);
-
-  // Reads the socket 64 KB at a time until it would block, decoding every
-  // complete [len][block] unit into records_ as it goes, so buf_ never
-  // holds more than one partial unit however far the sender runs ahead.
-  // Returns true if new records (or the finalize marker) appeared.
+  // Reads the socket 64 KB at a time until it would block, queueing every
+  // complete [len][block] unit as it goes, so buf_ never holds more than
+  // one partial unit however far the sender runs ahead.  Returns true if
+  // new units (or the finalize marker) appeared.
   bool Pump();
-  // Decodes one read's bytes after completing the unit buf_ carries; the
+  // Queues one read's bytes after completing the unit buf_ carries; the
   // trailing partial unit becomes the new buf_.
   void Consume(const std::uint8_t* data, std::size_t n);
-  // Decodes the complete units at the front of `bytes` and returns the
+  // Queues the complete units at the front of `bytes` and returns the
   // bytes they span (all of them once the finalize marker latches).
-  std::size_t DecodeUnits(std::span<const std::uint8_t> bytes);
+  std::size_t QueueUnits(std::span<const std::uint8_t> bytes);
+  // Inflates a queued unit into its records and frees its payload.
+  void Decode(Unit& unit);
 
   net::Socket sock_;
   TraceHeader header_;
   std::uint32_t source_id_ = 0;
-  std::vector<std::uint8_t> buf_;  // received, not yet decoded
-  // Retained for Rewind.  A deque, NOT a vector: NextRef hands out
-  // pointers into this container and the merge keeps them across poll
-  // rounds (the unifier's heads wait for window-mates), while Ingest
-  // keeps appending — a vector's growth reallocation would invalidate
-  // every outstanding pointer mid-merge.  Deque end-insertion never
-  // moves existing elements.
-  std::deque<CaptureRecord> records_;
-  std::size_t pos_ = 0;
+  std::vector<std::uint8_t> buf_;  // received, not yet a complete unit
+  std::deque<Unit> units_;         // never moves a unit once queued
+  std::size_t cur_ = 0;            // the unit NextRef reads
+  std::size_t pos_ = 0;            // the next record within it
+  std::size_t retained_bytes_ = 0;
+  std::uint64_t released_records_ = 0;  // in units freed after the latch
+  bool rewinds_ended_ = false;
   bool finalized_ = false;
   bool peer_eof_ = false;
   bool resumable_ = false;
-  // Records of the resumed sender's from-zero replay still to drop
-  // (everything up to the old connection's last complete block).
+  // Records of the resumed sender's from-zero replay still to drop.
   std::uint64_t resume_skip_ = 0;
 };
 

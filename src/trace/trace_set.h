@@ -24,10 +24,16 @@ class RecordStream {
   virtual std::optional<CaptureRecord> Next() = 0;
   // Zero-copy scan: advances like Next() but hands back a pointer instead
   // of materializing a record (bootstrap reads every record of its window
-  // this way).  nullptr at end of stream; the pointer is invalidated by the
-  // next Next/NextRef/Rewind call.
+  // this way).  nullptr at end of stream.  The pointer stays valid until
+  // the next Next/NextRef/Rewind call on THIS stream — a merge holds one
+  // borrowed record per stream while it advances the others.
   virtual const CaptureRecord* NextRef() = 0;
   virtual void Rewind() = 0;
+  // The rewind latch: the caller will never Rewind() this stream again,
+  // so a stream that keeps what it has read for a replay may free it as
+  // it goes.  MergeSession calls it once bootstrap's re-reads and the
+  // unifiers' rewind are done.  A no-op by default.
+  virtual void EndRewinds() {}
   // Live-source distinction: when Next()/NextRef() yields nothing, true
   // means end-of-capture, false means "no data yet — the writer may still
   // append" (tail-follow sources).  Batch streams are always finalized, so

@@ -231,13 +231,18 @@ void ExpectSameRecord(const CaptureRecord& got, const CaptureRecord& want) {
   EXPECT_EQ(got.bytes, want.bytes);
 }
 
-void ExpectBacklogReadsBack(Ending ending) {
-  Loopback lo;
-  TraceHeader header;
-  header.radio = 11;
-  // 200-byte LCG payloads barely compress, so 24k records make a ~5 MB
-  // backlog; 61-record blocks keep unit sizes off any 64 KB multiple.
-  std::vector<CaptureRecord> sent;
+// 200-byte LCG payloads barely compress, so 24k records make a ~5 MB
+// backlog; 61-record blocks keep unit sizes off any 64 KB multiple.
+constexpr std::size_t kBacklogBlockRecords = 61;
+
+struct Backlog {
+  std::vector<CaptureRecord> records;
+  std::vector<Bytes> blocks;  // LZ payloads of kBacklogBlockRecords each
+};
+
+Backlog MakeBacklog() {
+  Backlog backlog;
+  std::vector<CaptureRecord>& sent = backlog.records;
   std::uint32_t x = 12345;
   for (int i = 0; i < 24'000; ++i) {
     CaptureRecord rec = MakeRecord(1'000 * (i + 1));
@@ -249,16 +254,26 @@ void ExpectBacklogReadsBack(Ending ending) {
     rec.orig_len = 200;
     sent.push_back(std::move(rec));
   }
-  std::vector<Bytes> blocks;
-  for (std::size_t i = 0; i < sent.size(); i += 61) {
+  for (std::size_t i = 0; i < sent.size(); i += kBacklogBlockRecords) {
     Bytes body;
     LocalMicros prev = 0;
-    for (std::size_t j = i; j < std::min(sent.size(), i + 61); ++j) {
+    const std::size_t end = std::min(sent.size(), i + kBacklogBlockRecords);
+    for (std::size_t j = i; j < end; ++j) {
       SerializeRecord(sent[j], prev, body);
       prev = sent[j].timestamp;
     }
-    blocks.push_back(LzCompress(body));
+    backlog.blocks.push_back(LzCompress(body));
   }
+  return backlog;
+}
+
+void ExpectBacklogReadsBack(Ending ending) {
+  Loopback lo;
+  TraceHeader header;
+  header.radio = 11;
+  const Backlog backlog = MakeBacklog();
+  const std::vector<CaptureRecord>& sent = backlog.records;
+  const std::vector<Bytes>& blocks = backlog.blocks;
   constexpr std::size_t kReadSize = std::size_t{64} << 10;
   std::size_t stream_bytes = 0;
   std::size_t largest_unit = 0;
@@ -364,6 +379,69 @@ TEST(SocketTraceTest, MultiMegabyteBacklogThenGarbageIsCorruption) {
   ExpectBacklogReadsBack(Ending::kGarbage);
 }
 
+// The rewind latch over the same backlog: once EndRewinds() is set, each
+// block is inflated when the reader reaches it and freed once consumed,
+// so the stream never holds more compressed bytes than the reader has
+// still to consume, and nothing at the end.  Rewind is then an error.
+TEST(SocketTraceTest, LatchedBacklogHoldsOnlyWhatIsStillToConsume) {
+  Loopback lo;
+  TraceHeader header;
+  header.radio = 12;
+  const Backlog backlog = MakeBacklog();
+  const std::vector<CaptureRecord>& sent = backlog.records;
+  // unread[b]: the compressed bytes of blocks b and after.
+  std::vector<std::size_t> unread(backlog.blocks.size() + 1, 0);
+  for (std::size_t b = backlog.blocks.size(); b-- > 0;) {
+    unread[b] = unread[b + 1] + backlog.blocks[b].size();
+  }
+
+  SendHelloAndHeader(lo.client, header);
+  auto trace = SocketTrace::Open(std::move(lo.server));
+  std::thread sender([&] {
+    for (const Bytes& block : backlog.blocks) {
+      SendU32(lo.client, static_cast<std::uint32_t>(block.size()));
+      net::SendAll(lo.client, block.data(), block.size());
+    }
+    SendU32(lo.client, 0);
+    lo.client.Close();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::size_t got = 0;
+  std::size_t violations = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const CaptureRecord* rec = trace->NextRef();
+    if (rec == nullptr) {
+      if (trace->Finalized()) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    if (got == sent.size()) {
+      ADD_FAILURE() << "more records than were sent";
+      break;
+    }
+    ExpectSameRecord(*rec, sent[got]);
+    if (++got == 1) {
+      trace->EndRewinds();
+      EXPECT_THROW(trace->Rewind(), std::logic_error);
+    }
+    // The block holding this record is inflated; what is left to hold is
+    // the blocks after it.
+    const std::size_t block = (got - 1) / kBacklogBlockRecords;
+    if (trace->retained_bytes() > unread[block + 1]) ++violations;
+  }
+  sender.join();
+
+  EXPECT_EQ(got, sent.size());
+  EXPECT_EQ(trace->NextRef(), nullptr);
+  EXPECT_TRUE(trace->Finalized());
+  EXPECT_EQ(violations, 0u);
+  EXPECT_EQ(trace->retained_bytes(), 0u);
+  EXPECT_THROW(trace->Rewind(), std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // The tentpole pin: 2 wings x 3 radios, byte-identical to single-node.
 
@@ -464,6 +542,23 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
   EXPECT_EQ(root.jframes(), batch.jframes.size());
   EXPECT_GT(root.boundary_jframes(), 0u);
   EXPECT_LT(root.boundary_jframes(), root.jframes());
+  // Exactly the reference jframes whose instances come from both wings.
+  std::vector<bool> on_first_wing;
+  for (std::size_t i = 0; i < n; ++i) {
+    const RadioId radio = mem.at(i).header().radio;
+    if (radio >= on_first_wing.size()) on_first_wing.resize(radio + 1u);
+    on_first_wing[radio] = i < n / 2;
+  }
+  std::uint64_t boundary = 0;
+  for (const JFrame& jf : batch.jframes) {
+    bool first = false;
+    bool second = false;
+    for (const FrameInstance& inst : jf.instances) {
+      (on_first_wing.at(inst.radio) ? first : second) = true;
+    }
+    if (first && second) ++boundary;
+  }
+  EXPECT_EQ(root.boundary_jframes(), boundary);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -761,6 +856,189 @@ TEST_F(DistributedTest, StrayConnectionsMidMergeAreDropped) {
   ExpectIdenticalStreams(streamed, batch.jframes);
 }
 
+// A stray that connects mid-merge and then says nothing must not hold up
+// the root.  Pre-fix the re-dial loop parsed its handshake synchronously,
+// so this run took the whole accept_timeout_ms (3 s here) before the
+// stray was dropped as "header timed out".  Now every pending handshake
+// is stepped without blocking and the merge finishes at once.
+TEST_F(DistributedTest, IdleStrayDoesNotStallTheRoot) {
+  TraceSet mem = MultiChannelNetwork(44, Seconds(2)).Build();
+  const fs::path all = dir_ / "all";
+  mem.WriteDirectory(all);
+  TraceSet full = TraceSet::OpenDirectory(all);
+  const MergeResult batch = ReferenceMerge(full);
+  ASSERT_GT(batch.jframes.size(), 50u);
+
+  TraceSet files = TraceSet::OpenDirectory(all);
+  const std::size_t n = files.size();
+  std::vector<TraceHeader> headers;
+  std::vector<std::vector<CaptureRecord>> records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    headers.push_back(files.at(i).header());
+    while (auto rec = files.at(i).Next()) records[i].push_back(*rec);
+  }
+
+  RootConfig rc;
+  rc.n_streams = n;
+  rc.accept_timeout_ms = 3000;
+  RootSession root(rc);
+  const std::uint16_t port = root.port();
+
+  // Each sender relays half its records and holds the rest until the
+  // stray has been connected for a while, so the root meets it mid-merge.
+  std::atomic<std::size_t> connected{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> root_done{false};
+  std::vector<std::thread> senders;
+  for (std::size_t i = 0; i < n; ++i) {
+    senders.emplace_back([&, i] {
+      try {
+        SocketTraceWriter writer(net::ConnectTo("127.0.0.1", port),
+                                 headers[i], /*source_id=*/1,
+                                 /*records_per_block=*/32);
+        ++connected;
+        const std::size_t half = records[i].size() / 2;
+        for (std::size_t j = 0; j < half; ++j) writer.Append(records[i][j]);
+        writer.Sync();
+        while (!release) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        for (std::size_t j = half; j < records[i].size(); ++j) {
+          writer.Append(records[i][j]);
+        }
+        writer.Finish();
+      } catch (const std::exception&) {
+        // The root is gone; the assertions below report why.
+      }
+    });
+  }
+  std::thread stray([&] {
+    while (connected < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    net::Socket idle = net::ConnectTo("127.0.0.1", port);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    release = true;
+    while (!root_done) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const auto join_all = [&] {
+    root_done = true;
+    release = true;
+    stray.join();
+    for (auto& t : senders) t.join();
+  };
+
+  std::vector<JFrame> streamed;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    root.Run([&streamed](JFrame&& jf) { streamed.push_back(std::move(jf)); });
+  } catch (...) {
+    join_all();
+    throw;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  join_all();
+  ExpectIdenticalStreams(streamed, batch.jframes);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
+}
+
+// A wing that dies after the rewind latch — the root has already emitted
+// jframes, so blocks it consumed are freed — and replays from record
+// zero.  The dedupe counts the freed blocks and the queued ones; the
+// replay uses a different block size, so one of its blocks straddles the
+// skip point.
+TEST_F(DistributedTest, RedialAfterTheLatchDeduplicatesFreedBlocks) {
+  TraceSet mem = MultiChannelNetwork(33).Build();
+  const fs::path all = dir_ / "all";
+  mem.WriteDirectory(all);
+  TraceSet full = TraceSet::OpenDirectory(all);
+  const MergeResult batch = ReferenceMerge(full);
+  ASSERT_GT(batch.jframes.size(), 50u);
+
+  TraceSet files = TraceSet::OpenDirectory(all);
+  const std::size_t n = files.size();
+  std::vector<TraceHeader> headers;
+  std::vector<std::vector<CaptureRecord>> records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    headers.push_back(files.at(i).header());
+    while (auto rec = files.at(i).Next()) records[i].push_back(*rec);
+  }
+
+  const std::int64_t resumes_before = obs::MetricRegistry::Global()
+      .Collect().Value("jig_socket_trace_resumes_total");
+
+  RootConfig rc;
+  rc.n_streams = n;
+  RootSession root(rc);
+  const std::uint16_t port = root.port();
+
+  std::atomic<bool> emitted{false};
+  std::atomic<bool> emitted_before_drop{false};
+  std::thread dropper([&] {
+    const std::size_t half = records[0].size() / 2;
+    {
+      // Half the capture in 32-record blocks; the connection then dies
+      // without the marker once the root has emitted a jframe.
+      net::Socket sock = net::ConnectTo("127.0.0.1", port);
+      SendHelloAndHeader(sock, headers[0], /*source_id=*/1);
+      for (std::size_t i = 0; i < half; i += 32) {
+        Bytes body;
+        LocalMicros prev = 0;
+        for (std::size_t j = i; j < std::min(half, i + 32); ++j) {
+          SerializeRecord(records[0][j], prev, body);
+          prev = records[0][j].timestamp;
+        }
+        const Bytes packed = LzCompress(body);
+        SendU32(sock, static_cast<std::uint32_t>(packed.size()));
+        net::SendAll(sock, packed.data(), packed.size());
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (!emitted && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      emitted_before_drop = emitted.load();
+    }
+    SocketTraceWriter writer(net::ConnectTo("127.0.0.1", port), headers[0],
+                             /*source_id=*/1, /*records_per_block=*/45);
+    for (const CaptureRecord& rec : records[0]) writer.Append(rec);
+    writer.Finish();
+  });
+  std::vector<std::thread> senders;
+  for (std::size_t i = 1; i < n; ++i) {
+    senders.emplace_back([&, i] {
+      SocketTraceWriter writer(net::ConnectTo("127.0.0.1", port),
+                               headers[i], /*source_id=*/1,
+                               /*records_per_block=*/64);
+      for (const CaptureRecord& rec : records[i]) writer.Append(rec);
+      writer.Finish();
+    });
+  }
+
+  std::vector<JFrame> streamed;
+  try {
+    root.Run([&](JFrame&& jf) {
+      streamed.push_back(std::move(jf));
+      emitted = true;
+    });
+  } catch (...) {
+    emitted = true;
+    dropper.join();
+    for (auto& t : senders) t.join();
+    throw;
+  }
+  dropper.join();
+  for (auto& t : senders) t.join();
+
+  EXPECT_TRUE(emitted_before_drop);
+  ExpectIdenticalStreams(streamed, batch.jframes);
+  EXPECT_EQ(obs::MetricRegistry::Global().Collect().Value(
+                "jig_socket_trace_resumes_total"),
+            resumes_before + 1);
+}
+
 // The stream-level seam the root builds on, pinned without a merge: a
 // resumable stream parks on disconnect (no-data-yet, NOT truncation),
 // then OpenOrResume routes the matching re-dial back into it and the
@@ -830,6 +1108,67 @@ TEST(SocketTraceTest, ResumableStreamParksAndDeduplicatesReplay) {
     EXPECT_EQ(trace->Next()->timestamp, 1'000 * (i + 1));
   }
   EXPECT_EQ(trace->NextRef(), nullptr);
+}
+
+// The resume dedupe after the latch, pinned without a merge: records in
+// freed blocks, in a decoded block and in a still-compressed block all
+// count as delivered; a replay block wholly inside them is dropped and
+// one straddling the skip point keeps only its new records.
+TEST(SocketTraceTest, ResumeAfterTheLatchCountsFreedAndQueuedBlocks) {
+  Loopback lo;
+  TraceHeader header;
+  header.radio = 8;
+  auto send_block = [](net::Socket& sock, int from, int to) {
+    Bytes body;
+    LocalMicros prev = 0;
+    for (int i = from; i < to; ++i) {
+      SerializeRecord(MakeRecord(1'000 * (i + 1)), prev, body);
+      prev = 1'000 * (i + 1);
+    }
+    const Bytes packed = LzCompress(body);
+    SendU32(sock, static_cast<std::uint32_t>(packed.size()));
+    net::SendAll(sock, packed.data(), packed.size());
+  };
+
+  SendHelloAndHeader(lo.client, header, /*source_id=*/4);
+  send_block(lo.client, 0, 2);
+  send_block(lo.client, 2, 4);
+  send_block(lo.client, 4, 6);
+  lo.client.Close();
+
+  auto trace = SocketTrace::Open(std::move(lo.server));
+  trace->set_resumable(true);
+  EXPECT_EQ(trace->Next()->timestamp, 1'000);
+  trace->EndRewinds();
+  EXPECT_EQ(trace->Next()->timestamp, 2'000);
+  // Reading record 3 frees block [1,2]; block [5,6] is still compressed.
+  EXPECT_EQ(trace->Next()->timestamp, 3'000);
+  EXPECT_GT(trace->retained_bytes(), 0u);
+
+  const std::int64_t resumes_before = obs::MetricRegistry::Global()
+      .Collect().Value("jig_socket_trace_resumes_total");
+  {
+    Loopback redial;
+    SendHelloAndHeader(redial.client, header, /*source_id=*/4);
+    send_block(redial.client, 0, 3);  // inside the six delivered
+    send_block(redial.client, 3, 8);  // straddles: 7 and 8 are new
+    SendU32(redial.client, 0);
+    std::vector<SocketTrace*> existing{trace.get()};
+    EXPECT_EQ(SocketTrace::OpenOrResume(std::move(redial.server), existing),
+              nullptr);
+  }
+  EXPECT_EQ(obs::MetricRegistry::Global().Collect().Value(
+                "jig_socket_trace_resumes_total"),
+            resumes_before + 1);
+  for (int i = 3; i < 8; ++i) {
+    const auto rec = trace->Next();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->timestamp, 1'000 * (i + 1));
+  }
+  EXPECT_EQ(trace->NextRef(), nullptr);
+  EXPECT_TRUE(trace->Finalized());
+  EXPECT_EQ(trace->retained_bytes(), 0u);
+  EXPECT_THROW(trace->Rewind(), std::logic_error);
 }
 
 }  // namespace
