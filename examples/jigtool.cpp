@@ -352,38 +352,38 @@ int CmdCollect(const char* out_dir, long port, long n,
     // a poller never reads a half-written port number.
     obs::WriteFileAtomic(ready_file, std::to_string(listener.port()));
   }
-  TraceSet traces = AcceptTraces(listener, static_cast<std::size_t>(n));
+  SocketDoor door(listener, static_cast<std::size_t>(n));
+  TraceSet& traces = door.Accept();
   // Each stream is read once, front to back: nothing rewinds it, so every
   // block is freed as soon as it is written out.
   for (std::size_t i = 0; i < traces.size(); ++i) traces.at(i).EndRewinds();
   std::filesystem::create_directories(out_dir);
   std::vector<std::unique_ptr<TraceFileWriter>> writers;
-  std::vector<SocketTrace*> sockets;
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    auto& st = dynamic_cast<SocketTrace&>(traces.at(i));
-    sockets.push_back(&st);
+    const TraceHeader& header = traces.at(i).header();
     writers.push_back(std::make_unique<TraceFileWriter>(
         std::filesystem::path(out_dir) /
-            ("r" + std::to_string(st.header().radio) + ".jigt"),
-        st.header()));
+            ("r" + std::to_string(header.radio) + ".jigt"),
+        header));
   }
   std::vector<bool> done(traces.size(), false);
   std::vector<std::uint64_t> written(traces.size(), 0);
   for (;;) {
+    door.Step();  // drains every sender and drops strays
     bool all_done = true;
     bool progress = false;
     for (std::size_t i = 0; i < traces.size(); ++i) {
       if (done[i]) continue;
-      while (const CaptureRecord* rec = sockets[i]->NextRef()) {
+      RecordStream& stream = traces.at(i);
+      while (const CaptureRecord* rec = stream.NextRef()) {
         writers[i]->Append(*rec);
         ++written[i];
         progress = true;
       }
-      if (sockets[i]->Finalized()) {
+      if (stream.Finalized()) {
         writers[i]->Finish();
         done[i] = true;
-        std::printf("  r%u finalized: %llu records\n",
-                    sockets[i]->header().radio,
+        std::printf("  r%u finalized: %llu records\n", stream.header().radio,
                     static_cast<unsigned long long>(written[i]));
         progress = true;
       } else {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -160,19 +159,16 @@ std::uint64_t RootSession::jframes() const { return impl_->jframes; }
 
 MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
   Impl& impl = *impl_;
-  TraceSet traces = AcceptTraces(impl.listener, impl.config.n_streams,
-                                 impl.config.accept_timeout_ms,
-                                 /*resumable=*/true);
+  SocketDoor door(impl.listener, impl.config.n_streams,
+                  impl.config.accept_timeout_ms, /*resumable=*/true);
+  TraceSet& traces = door.Accept();
   // Which wing each radio's stream arrived from, indexed by radio id: the
   // boundary-overlap attribution for the reconciliation counter below.
   std::vector<std::uint32_t> wing_of;
-  std::vector<SocketTrace*> sockets;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    auto& st = dynamic_cast<SocketTrace&>(traces.at(i));
-    const RadioId radio = st.header().radio;
+  for (const SocketTrace* s : door.streams()) {
+    const RadioId radio = s->header().radio;
     if (radio >= wing_of.size()) wing_of.resize(radio + std::size_t{1});
-    wing_of[radio] = st.source_id();
-    sockets.push_back(&st);
+    wing_of[radio] = s->source_id();
   }
 
   // The boundary-overlap reconciliation pass: the global unifier groups
@@ -196,42 +192,11 @@ MergeStreamStats RootSession::Run(std::function<void(JFrame&&)> sink) {
 
   MergeStreamStats result;
   MergeSession session(traces, impl.config.merge, counting_sink);
-  // Connections accepted mid-merge whose handshake has not completed.
-  std::vector<SocketHandshake> pending;
   for (;;) {
-    // Pick up re-dialing wings before pulling data: a dead uplink's
-    // stream is parked (resumable) and only a resumed connection can
-    // unpark it.  Every handshake is stepped without blocking, so a
-    // connection that stays silent holds nothing up.  Any other
-    // connection mid-run — an unknown identity, or a peer that never
-    // completes a valid handshake in accept_timeout_ms (a port probe) —
-    // is not one of our n_streams: drop it rather than let a stray dial
-    // grow or end the merge.
-    for (;;) {
-      net::Socket fresh = impl.listener.TryAccept();
-      if (!fresh.valid()) break;
-      pending.emplace_back(std::move(fresh), impl.config.accept_timeout_ms);
-    }
-    std::erase_if(pending, [&sockets](SocketHandshake& hs) {
-      try {
-        if (!hs.Step()) return false;
-        auto stranger = SocketTrace::OpenOrResume(std::move(hs), sockets);
-        if (stranger) {
-          std::fprintf(stderr,
-                       "root: dropping unexpected stream (source %u "
-                       "radio %u) — not a resume of any known uplink\n",
-                       stranger->source_id(), stranger->header().radio);
-        }
-      } catch (const TraceError& e) {
-        std::fprintf(stderr, "root: dropping connection: %s\n", e.what());
-      }
-      return true;
-    });
-    // Drain every wing uplink first — see SocketTrace::Ingest for why
-    // skipping currently-unneeded streams can deadlock the senders.
-    for (SocketTrace* s : sockets) s->Ingest();
-    const auto status = session.Poll();
-    if (status == MergeSession::Status::kDone) break;
+    // Re-dialing wings resume their parked streams, strays are dropped,
+    // and every uplink is drained before the merge pulls.
+    door.Step();
+    if (session.Poll() == MergeSession::Status::kDone) break;
     // Starved: the wings have not relayed further yet.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }

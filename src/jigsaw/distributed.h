@@ -88,12 +88,14 @@ struct RootConfig {
 // The root: accepts n_streams socket traces (from any number of wings),
 // then runs the normal global MergeSession over them.  Every jframe goes
 // to the caller's sink in timestamp order — byte-identical to the
-// single-node merge of the same traces.  A wing that drops and dials again
-// with the same source id resumes its streams (the sender replays from
-// record zero; already-received records are deduplicated); while it is
-// down its streams park, so the root waits rather than emitting a
-// truncated capture.  Any other connection during the merge is logged and
-// dropped.
+// single-node merge of the same traces.  One SocketDoor takes every
+// connection from the start of Run to the end of the merge.  A wing that
+// drops and dials again with the same source id resumes its streams (the
+// sender replays from record zero; already-received records are
+// deduplicated); while it is down its streams park, so the root waits
+// rather than emitting a truncated capture.  Any other connection — in
+// the accept phase or during the merge — is logged and dropped, and a
+// silent one holds nothing up.
 class RootSession {
  public:
   // Binds and listens immediately, so wings may start connecting before
@@ -103,7 +105,8 @@ class RootSession {
 
   std::uint16_t port() const;
 
-  // Accepts the streams and merges to completion.
+  // Accepts the streams and merges to completion.  Throws
+  // std::runtime_error when accept_timeout_ms passes without a new stream.
   MergeStreamStats Run(std::function<void(JFrame&&)> sink);
 
   // Jframes whose instances span more than one wing — the boundary

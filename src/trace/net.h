@@ -43,6 +43,7 @@ class Listener {
   Listener(const std::string& host, std::uint16_t port);
 
   std::uint16_t port() const { return port_; }
+  int fd() const { return sock_.fd(); }  // to poll() for queued peers
   // Waits up to timeout_ms for a peer (<= 0: block indefinitely).  Throws
   // std::runtime_error on timeout or accept failure.
   Socket Accept(int timeout_ms = -1);

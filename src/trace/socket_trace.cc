@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <poll.h>
 #include <stdexcept>
@@ -43,6 +44,10 @@ struct SocketMetrics {
   obs::Counter& resumes = obs::MetricRegistry::Global().GetCounter(
       "jig_socket_trace_resumes_total",
       "Re-dialed connections adopted into an existing stream");
+  obs::Counter& dropped = obs::MetricRegistry::Global().GetCounter(
+      "jig_socket_connections_dropped_total",
+      "Connections a socket door dropped without opening or resuming a "
+      "stream");
 };
 
 SocketMetrics& Metrics() {
@@ -63,6 +68,13 @@ bool DrainSocket(net::Socket& sock, std::vector<std::uint8_t>& buf) {
     }
     return r.eof;
   }
+}
+
+// The poll() timeout that wakes no earlier than `deadline`.
+int PollMsUntil(std::chrono::steady_clock::time_point deadline) {
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline - std::chrono::steady_clock::now());
+  return static_cast<int>(std::max<std::int64_t>(left.count(), 0)) + 1;
 }
 
 }  // namespace
@@ -116,22 +128,13 @@ bool SocketHandshake::Step() {
   return false;
 }
 
-void SocketHandshake::Wait() {
-  while (!Step()) {
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline_ - std::chrono::steady_clock::now());
-    pollfd pfd{sock_.fd(), POLLIN, 0};
-    ::poll(&pfd, 1,
-           static_cast<int>(std::max<std::int64_t>(remaining.count(), 0)) +
-               1);
-  }
-}
-
 std::unique_ptr<SocketTrace> SocketTrace::Open(net::Socket sock,
                                                int header_timeout_ms) {
   SocketHandshake hs(std::move(sock), header_timeout_ms);
-  hs.Wait();
+  while (!hs.Step()) {
+    pollfd pfd{hs.sock_.fd(), POLLIN, 0};
+    ::poll(&pfd, 1, PollMsUntil(hs.deadline_));
+  }
   return std::unique_ptr<SocketTrace>(new SocketTrace(std::move(hs)));
 }
 
@@ -263,8 +266,8 @@ const CaptureRecord* SocketTrace::NextRef() {
     }
     if (!Pump()) {
       if (peer_eof_ && !finalized_) {
-        // A resumable stream parks at the disconnect and waits for
-        // Resume(); a one-shot stream's capture was cut off.
+        // A resumable stream parks at the disconnect and waits for a
+        // re-dial; a one-shot stream's capture was cut off.
         if (resumable_) return nullptr;
         // Everything received has been decoded and consumed, and no
         // marker will ever arrive: the capture was cut off.
@@ -317,54 +320,28 @@ std::uint64_t SocketTrace::RecordsReceived() {
   return n;
 }
 
-void SocketTrace::Resume(net::Socket sock, int header_timeout_ms) {
-  if (finalized_) {
-    throw std::logic_error("SocketTrace::Resume: stream already finalized");
-  }
-  SocketHandshake hs(std::move(sock), header_timeout_ms);
-  hs.Wait();
-  if (hs.source_id_ != source_id_ || hs.header_.radio != header_.radio) {
-    throw TraceCorruptError(
-        "socket trace: resumed connection identity mismatch (expected "
-        "source " +
-        std::to_string(source_id_) + " radio " +
-        std::to_string(header_.radio) + ", got source " +
-        std::to_string(hs.source_id_) + " radio " +
-        std::to_string(hs.header_.radio) + ")");
-  }
-  AdoptHandshake(std::move(hs));
-}
-
-void SocketTrace::AdoptHandshake(SocketHandshake hs) {
-  sock_ = std::move(hs.sock_);
-  // Partial-block bytes from the dead connection can never complete; the
-  // from-zero replay re-covers them.
-  buf_ = std::move(hs.buf_);
-  peer_eof_ = false;
-  resume_skip_ = RecordsReceived();
-  Metrics().resumes.Add(1);
-}
-
-std::unique_ptr<SocketTrace> SocketTrace::OpenOrResume(
-    net::Socket sock, const std::vector<SocketTrace*>& existing,
-    int header_timeout_ms) {
-  SocketHandshake hs(std::move(sock), header_timeout_ms);
-  hs.Wait();
-  return OpenOrResume(std::move(hs), existing);
-}
-
 std::unique_ptr<SocketTrace> SocketTrace::OpenOrResume(
     SocketHandshake hs, const std::vector<SocketTrace*>& existing) {
   if (!hs.complete_) {
     throw std::logic_error("SocketTrace::OpenOrResume: handshake incomplete");
   }
   for (SocketTrace* s : existing) {
-    if (s == nullptr || s->Finalized()) continue;
-    if (s->source_id() == hs.source_id_ &&
-        s->header().radio == hs.header_.radio) {
-      s->AdoptHandshake(std::move(hs));
-      return nullptr;
+    if (s->source_id_ != hs.source_id_) continue;
+    if (s->header_.radio != hs.header_.radio) continue;
+    if (s->finalized_) {
+      throw TraceCorruptError(
+          "socket trace: re-dial of a finalized stream (source " +
+          std::to_string(hs.source_id_) + " radio " +
+          std::to_string(hs.header_.radio) + ")");
     }
+    s->sock_ = std::move(hs.sock_);
+    // Partial-block bytes from the dead connection can never complete;
+    // the from-zero replay re-covers them.
+    s->buf_ = std::move(hs.buf_);
+    s->peer_eof_ = false;
+    s->resume_skip_ = s->RecordsReceived();
+    Metrics().resumes.Add(1);
+    return nullptr;
   }
   return std::unique_ptr<SocketTrace>(new SocketTrace(std::move(hs)));
 }
@@ -377,41 +354,77 @@ SocketTraceWriter::SocketTraceWriter(net::Socket sock,
                block_codec::kTraceFormat,
                block_codec::EncodeTraceHeader(header), records_per_block) {}
 
-TraceSet AcceptTraces(net::Listener& listener, std::size_t n,
-                      int timeout_ms, bool resumable) {
-  std::vector<std::unique_ptr<SocketTrace>> streams;
-  streams.reserve(n);
-  while (streams.size() < n) {
-    if (!resumable) {
-      streams.push_back(
-          SocketTrace::Open(listener.Accept(timeout_ms), timeout_ms));
-      continue;
+SocketDoor::~SocketDoor() {
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    Drop("handshake still pending when the door closed");
+  }
+}
+
+void SocketDoor::Drop(const std::string& why) {
+  std::fprintf(stderr, "socket door on port %u: dropping connection: %s\n",
+               listener_.port(), why.c_str());
+  Metrics().dropped.Add(1);
+}
+
+void SocketDoor::Step() {
+  for (net::Socket fresh; (fresh = listener_.TryAccept()).valid();) {
+    pending_.emplace_back(std::move(fresh), timeout_ms_);
+  }
+  std::erase_if(pending_, [this](SocketHandshake& hs) {
+    try {
+      if (!hs.Step()) return false;
+      auto fresh = SocketTrace::OpenOrResume(std::move(hs), streams_);
+      if (fresh && streams_.size() >= n_) {
+        Drop("unexpected stream (source " +
+             std::to_string(fresh->source_id()) + " radio " +
+             std::to_string(fresh->header().radio) +
+             "): every stream is open");
+      } else if (fresh) {
+        fresh->set_resumable(resumable_);
+        streams_.push_back(fresh.get());
+        opened_.push_back(std::move(fresh));
+      }
+    } catch (const std::runtime_error& e) {
+      Drop(e.what());  // EOF, bad hello, deadline, or a finalized identity
     }
-    // Resumable accept: a sender may die and re-dial while its siblings
-    // are still attaching.  Count distinct (source, radio) identities
-    // toward n — a re-dial adopts into its existing stream instead of
-    // occupying a slot (pre-fix it became a duplicate stream of the same
-    // radio, and the dead original poisoned the merge with a phantom
-    // truncation).
-    std::vector<SocketTrace*> raw;
-    raw.reserve(streams.size());
-    for (const auto& s : streams) raw.push_back(s.get());
-    auto fresh = SocketTrace::OpenOrResume(listener.Accept(timeout_ms), raw,
-                                           timeout_ms);
-    if (fresh) {
-      fresh->set_resumable(true);
-      streams.push_back(std::move(fresh));
+    return true;
+  });
+  for (SocketTrace* s : streams_) s->Ingest();
+}
+
+TraceSet& SocketDoor::Accept() {
+  const auto timeout = std::chrono::milliseconds(timeout_ms_);
+  auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    const std::size_t open = streams_.size();
+    Step();
+    if (streams_.size() >= n_) break;
+    const auto now = std::chrono::steady_clock::now();
+    if (streams_.size() > open) {
+      deadline = now + timeout;
+    } else if (now >= deadline) {
+      throw std::runtime_error("socket door: accept timed out with " +
+                               std::to_string(streams_.size()) + " of " +
+                               std::to_string(n_) + " streams open");
     }
+    // Sleep until a peer queues, a pending handshake reads, or the
+    // nearest deadline passes.
+    std::vector<pollfd> fds{{listener_.fd(), POLLIN, 0}};
+    auto wake = deadline;
+    for (const SocketHandshake& hs : pending_) {
+      fds.push_back({hs.sock_.fd(), POLLIN, 0});
+      wake = std::min(wake, hs.deadline_);
+    }
+    ::poll(fds.data(), fds.size(), PollMsUntil(wake));
   }
   // The same deterministic radio-id order OpenDirectory guarantees, so a
   // socket-fed merge is stream-for-stream comparable to a file merge.
-  std::sort(streams.begin(), streams.end(),
-            [](const auto& a, const auto& b) {
-              return a->header().radio < b->header().radio;
-            });
-  TraceSet set;
-  for (auto& s : streams) set.Add(std::move(s));
-  return set;
+  std::ranges::sort(opened_, {}, [](const auto& s) {
+    return s->header().radio;
+  });
+  for (auto& s : opened_) traces_.Add(std::move(s));
+  opened_.clear();
+  return traces_;
 }
 
 }  // namespace jig

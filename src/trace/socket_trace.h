@@ -61,8 +61,7 @@ inline constexpr std::size_t kSocketHelloLen = 12;  // magic, version, source
 Bytes EncodeSocketHello(std::uint32_t source_id);
 
 // A fresh connection's hello + trace header, read without blocking: the
-// one handshake parser behind Open, Resume, OpenOrResume and a listening
-// root's not-yet-identified connections.
+// one handshake parser behind Open and SocketDoor.
 class SocketHandshake {
  public:
   // Switches `sock` to non-blocking; the handshake must complete within
@@ -75,11 +74,10 @@ class SocketHandshake {
   // hello/magic/version, TraceTruncatedError if the peer closes (or the
   // timeout passes) first.
   bool Step();
-  // Steps until complete, sleeping in poll() between reads.
-  void Wait();
 
  private:
   friend class SocketTrace;
+  friend class SocketDoor;
 
   net::Socket sock_;
   std::chrono::steady_clock::time_point deadline_;
@@ -91,8 +89,9 @@ class SocketHandshake {
 
 class SocketTrace final : public RecordStream {
  public:
-  // Waits (up to header_timeout_ms) for the hello + trace header, then
-  // switches the socket to non-blocking tail consumption.  Throws
+  // The one blocking opener: waits (up to header_timeout_ms) for the
+  // hello + trace header, then switches the socket to non-blocking tail
+  // consumption.  A listener with several senders uses SocketDoor.  Throws
   // TraceCorruptError on a bad hello/magic/version, TraceTruncatedError
   // if the peer closes (or the timeout passes) before the header.
   static std::unique_ptr<SocketTrace> Open(net::Socket sock,
@@ -123,40 +122,20 @@ class SocketTrace final : public RecordStream {
   // sender means lost data.  A long-running service instead expects the
   // sender to re-dial: with set_resumable(true) the disconnect parks the
   // stream (NextRef returns nullptr, Finalized() stays false,
-  // disconnected() reports true) until Resume() installs the replacement
-  // connection.
+  // disconnected() reports true) until a re-dialed connection is adopted.
   void set_resumable(bool on) { resumable_ = on; }
   // Peer closed before the marker and everything received was consumed.
   bool disconnected() const { return peer_eof_ && !finalized_; }
 
-  // Adopts a re-dialed connection for the SAME stream.  Parses the new
-  // connection's hello + header (blocking up to header_timeout_ms) and
-  // validates that the source id and radio match this stream — a
-  // different sender on the old port is corruption, not a resume.  The
-  // re-dialing sender replays its capture from record zero (a socket
-  // cannot seek, and the sender cannot know how much the old connection
-  // delivered before dying); as many records as the old connections
-  // delivered in complete blocks are dropped from the replay instead of
-  // being surfaced twice, so the merged stream sees each record exactly
-  // once.  Any partial block left over from the dead connection is
-  // discarded — the replay re-covers it.
-  // Throws TraceCorruptError on identity mismatch / bad handshake,
-  // TraceTruncatedError if the header never arrives, std::logic_error if
-  // the stream already finalized.
-  void Resume(net::Socket sock, int header_timeout_ms = 30000);
-
-  // Accept-side router: parses the fresh connection's handshake once,
-  // then either adopts it into the matching (same source id + radio,
-  // not yet finalized) stream in `existing` — returning nullptr — or
-  // returns it as a brand-new stream.  This is what a listening
-  // collector calls for EVERY accepted connection once re-dials are
-  // possible: only the handshake identity can distinguish a resuming
-  // wing from a new one.
-  static std::unique_ptr<SocketTrace> OpenOrResume(
-      net::Socket sock, const std::vector<SocketTrace*>& existing,
-      int header_timeout_ms = 30000);
-  // The same routing for a handshake that already completed (Step()
-  // returned true).
+  // Routes a completed handshake (Step() returned true) by its identity.
+  // A stream in `existing` with the same source id and radio adopts it as
+  // a re-dial — returning nullptr — dropping the old connection and any
+  // partial block it left.  The re-dialing sender replays its capture
+  // from record zero (a socket cannot seek, and the sender cannot know
+  // what the old connection delivered); as many records as the old
+  // connections delivered in complete blocks are skipped, so each record
+  // surfaces once.  Any other identity returns as a new stream.  Throws
+  // TraceCorruptError if the matching stream finalized: not a resume.
   static std::unique_ptr<SocketTrace> OpenOrResume(
       SocketHandshake hs, const std::vector<SocketTrace*>& existing);
 
@@ -187,15 +166,12 @@ class SocketTrace final : public RecordStream {
     Bytes payload;
     std::vector<CaptureRecord> records;
     bool decoded = false;
-    // Records the unit holds, once decoded or counted by Resume.
+    // Records the unit holds, once decoded or counted for a resume.
     std::optional<std::size_t> count;
   };
 
   explicit SocketTrace(SocketHandshake hs);
 
-  // Installs a re-dialed connection: replaces the socket, discards the
-  // dead connection's partial block, arms the from-zero replay skip.
-  void AdoptHandshake(SocketHandshake hs);
   // Records delivered so far in complete blocks: released units plus
   // queued ones, inflating a queued unit only to count it.
   std::uint64_t RecordsReceived();
@@ -259,15 +235,55 @@ class SocketTraceWriter {
   block_codec::Encoder encoder_;
 };
 
-// Accepts `n` socket trace streams on `listener` and returns them as a
-// TraceSet ordered by radio id (the same deterministic order
-// OpenDirectory guarantees).  Each stream's header must arrive within
-// `timeout_ms` of its accept.  With `resumable`, n counts DISTINCT
-// (source, radio) identities: a sender that dies and re-dials during the
-// accept phase adopts into its existing stream (which is marked
-// resumable, so later disconnects park instead of throwing) rather than
-// being accepted as a duplicate.
-TraceSet AcceptTraces(net::Listener& listener, std::size_t n,
-                      int timeout_ms = 30000, bool resumable = false);
+// Every connection on a listener, from the first accept to the end of the
+// merge.  A fresh connection waits in a pending SocketHandshake; one that
+// reaches EOF, sends a bad hello or misses its timeout_ms deadline is
+// logged and dropped (jig_socket_connections_dropped_total).  A completed
+// handshake whose (source id, radio) matches a stream adopts into it, or
+// is dropped if that stream finalized; an unknown identity opens a new
+// stream while fewer than `n` are open and is dropped after that.  So a
+// stray — a port probe, a silent or garbled client — never opens, blocks
+// or ends anything.  `resumable` only decides whether a disconnect parks
+// a stream (until its re-dial) or ends it as truncated.
+class SocketDoor {
+ public:
+  // `listener` must outlive the door.
+  SocketDoor(net::Listener& listener, std::size_t n, int timeout_ms = 30000,
+             bool resumable = false)
+      : listener_(listener),
+        n_(n),
+        timeout_ms_(timeout_ms),
+        resumable_(resumable) {}
+  // Drops the handshakes still pending.
+  ~SocketDoor();
+  SocketDoor(const SocketDoor&) = delete;
+  SocketDoor& operator=(const SocketDoor&) = delete;
+
+  // Steps until n streams are open, sleeping in poll() on the listener and
+  // the pending connections, and returns them ordered by radio id (as
+  // OpenDirectory does); the set lives as long as the door.  Throws
+  // std::runtime_error when timeout_ms passes without a new stream.
+  TraceSet& Accept();
+  // One non-blocking round: accepts every queued connection, steps every
+  // pending handshake, routes the completed ones, and Ingests every open
+  // stream (see SocketTrace::Ingest for why every stream, every round).
+  void Step();
+
+  // The open streams, in the order they opened.
+  const std::vector<SocketTrace*>& streams() const { return streams_; }
+
+ private:
+  void Drop(const std::string& why);
+
+  net::Listener& listener_;
+  std::size_t n_;
+  int timeout_ms_;
+  bool resumable_;
+  std::vector<SocketHandshake> pending_;
+  std::vector<SocketTrace*> streams_;
+  // Opened streams not yet handed to traces_ by Accept.
+  std::vector<std::unique_ptr<SocketTrace>> opened_;
+  TraceSet traces_;
+};
 
 }  // namespace jig

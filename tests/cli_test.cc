@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 
 #include "reference_merge.h"
 #include "trace/net.h"
@@ -220,6 +222,44 @@ TEST_F(CliTest, MidStreamDisconnectExitsThreeBothEnds) {
                                            dir_ / "out", UnusedPort());
   EXPECT_EQ(combined, 33) << "serve exit " << combined / 10
                           << ", collect exit " << combined % 10;
+}
+
+// A silent connection that reaches the collector before the sender is
+// dropped, not taken for the one stream.  Pre-fix collect parsed it as the
+// first stream's handshake and exited 3 once it closed.
+TEST_F(CliTest, SilentStrayBeforeTheSenderDoesNotFailCollect) {
+  const fs::path trace = WriteValidTrace("r1.jigt");
+  const fs::path out = dir_ / "out";
+  const fs::path ready = dir_ / "out.ready";
+  const fs::path collect_exit = dir_ / "collect.exit";
+  const std::uint16_t port = UnusedPort();
+  const std::string p = std::to_string(port);
+  // The collector runs in the background and leaves its exit code behind.
+  ASSERT_EQ(std::system(("(" + JigtoolPath() + " collect " + out.string() +
+                         " " + p + " 1 --ready-file " + ready.string() +
+                         " >/dev/null 2>&1; echo $? > " +
+                         collect_exit.string() + ") &")
+                            .c_str()),
+            0);
+  const auto wait_for = [](const fs::path& file) {
+    for (int i = 0; i < 1000 && !fs::exists(file); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  wait_for(ready);
+  {
+    jig::net::Socket stray = jig::net::ConnectTo("127.0.0.1", port);
+    EXPECT_EQ(RunJigtool("serve-trace " + trace.string() + " 127.0.0.1 " + p),
+              0);
+  }  // the stray closes without a word
+  std::string code;  // empty until the shell has written it
+  for (int i = 0; i < 1000 && code.empty(); ++i) {
+    wait_for(collect_exit);
+    std::ifstream(collect_exit) >> code;
+    if (code.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(code, "0");
+  EXPECT_TRUE(fs::exists(out / "r1.jigt"));
 }
 
 // ------------------------------------------------------------------------

@@ -78,6 +78,14 @@ void SendHelloAndHeader(net::Socket& sock, const TraceHeader& header,
   net::SendAll(sock, hdr.data(), hdr.size());
 }
 
+// Steps a connection's handshake to completion, as a SocketDoor does
+// before it routes the connection.
+SocketHandshake CompletedHandshake(net::Socket sock) {
+  SocketHandshake hs(std::move(sock), /*timeout_ms=*/5000);
+  while (!hs.Step()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return hs;
+}
+
 // One loopback connection: `client` is the sender side, `server` the
 // accepted receiver side.
 struct Loopback {
@@ -631,7 +639,8 @@ TEST_F(DistributedTest, WingFinishesEachUplinkAsItsRadioFinalizes) {
   std::uint64_t got_b = 0;
   bool b_open_when_a_finalized = false;
   try {
-    TraceSet root = AcceptTraces(listener, 2);
+    SocketDoor door(listener, 2);
+    TraceSet& root = door.Accept();
     RecordStream& a = root.at(0);
     RecordStream& b = root.at(1);
     const auto deadline =
@@ -944,6 +953,149 @@ TEST_F(DistributedTest, IdleStrayDoesNotStallTheRoot) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
 }
 
+std::int64_t ConnectionsDropped() {
+  return obs::MetricRegistry::Global().Collect().Value(
+      "jig_socket_connections_dropped_total");
+}
+
+// A stray that reaches the root before any sender.  Pre-fix the accept
+// phase opened each connection with a blocking handshake and let its error
+// escape, so every kind of stray ended RootSession::Run with no jframe
+// emitted: a silent one after accept_timeout_ms ("header timed out", 3 s
+// here), a connect-and-close port probe ("peer closed before the header
+// arrived") and a bad hello ("bad hello magic") at once.  Now the stray
+// waits in the door's pending list like any other connection and is
+// dropped — the silent one when the door closes at the end of the merge.
+enum class Stray { kSilent, kConnectAndClose, kBadHello };
+
+class AcceptPhaseStray : public DistributedTest,
+                         public ::testing::WithParamInterface<Stray> {};
+
+TEST_P(AcceptPhaseStray, AcceptPhaseStrayDoesNotKillTheRoot) {
+  TraceSet mem = MultiChannelNetwork(55, Seconds(2)).Build();
+  const fs::path all = dir_ / "all";
+  mem.WriteDirectory(all);
+  TraceSet full = TraceSet::OpenDirectory(all);
+  const MergeResult batch = ReferenceMerge(full);
+  ASSERT_GT(batch.jframes.size(), 50u);
+
+  TraceSet files = TraceSet::OpenDirectory(all);
+  const std::size_t n = files.size();
+  std::vector<TraceHeader> headers;
+  std::vector<std::vector<CaptureRecord>> records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    headers.push_back(files.at(i).header());
+    while (auto rec = files.at(i).Next()) records[i].push_back(*rec);
+  }
+
+  RootConfig rc;
+  rc.n_streams = n;
+  rc.accept_timeout_ms = 3000;
+  RootSession root(rc);
+  const std::uint16_t port = root.port();
+  const std::int64_t dropped_before = ConnectionsDropped();
+
+  // The stray queues first, so the accept phase meets it before any
+  // sender.
+  net::Socket stray = net::ConnectTo("127.0.0.1", port);
+  switch (GetParam()) {
+    case Stray::kSilent:
+      break;
+    case Stray::kConnectAndClose:
+      stray.Close();
+      break;
+    case Stray::kBadHello: {
+      const Bytes bad_hello = {'N', 'O', 'P', 'E', 1, 0, 0, 0, 0, 0, 0, 0};
+      net::SendAll(stray, bad_hello.data(), bad_hello.size());
+      break;
+    }
+  }
+  std::vector<std::thread> senders;
+  for (std::size_t i = 0; i < n; ++i) {
+    senders.emplace_back([&, i] {
+      try {
+        SocketTraceWriter writer(net::ConnectTo("127.0.0.1", port),
+                                 headers[i], /*source_id=*/1,
+                                 /*records_per_block=*/32);
+        for (const CaptureRecord& rec : records[i]) writer.Append(rec);
+        writer.Finish();
+      } catch (const std::exception&) {
+        // The root is gone; the assertions below report why.
+      }
+    });
+  }
+
+  std::vector<JFrame> streamed;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    root.Run([&streamed](JFrame&& jf) { streamed.push_back(std::move(jf)); });
+  } catch (...) {
+    for (auto& t : senders) t.join();
+    throw;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  for (auto& t : senders) t.join();
+  ExpectIdenticalStreams(streamed, batch.jframes);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
+  EXPECT_EQ(ConnectionsDropped(), dropped_before + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKind, AcceptPhaseStray,
+    ::testing::Values(Stray::kSilent, Stray::kConnectAndClose,
+                      Stray::kBadHello),
+    [](const ::testing::TestParamInfo<Stray>& info) {
+      switch (info.param) {
+        case Stray::kSilent:
+          return "Silent";
+        case Stray::kConnectAndClose:
+          return "ConnectAndClose";
+        case Stray::kBadHello:
+          return "BadHello";
+      }
+      return "Unknown";
+    });
+
+// The accept phase gives up once accept_timeout_ms passes without a new
+// stream, however many strays keep dialing: a stray never restarts that
+// clock.  One of the two senders never comes.
+TEST_F(DistributedTest, AcceptTimesOutWhileStraysKeepDialing) {
+  RootConfig rc;
+  rc.n_streams = 2;
+  rc.accept_timeout_ms = 300;
+  RootSession root(rc);
+  const std::uint16_t port = root.port();
+
+  std::thread sender([port] {
+    try {
+      TraceHeader header;
+      header.radio = 1;
+      SocketTraceWriter writer(net::ConnectTo("127.0.0.1", port), header,
+                               /*source_id=*/1);
+      writer.Append(MakeRecord(1'000));
+      writer.Finish();
+    } catch (const std::exception&) {
+      // The root is gone; the assertions below report why.
+    }
+  });
+  std::atomic<bool> stop{false};
+  std::thread strays([&stop, port] {
+    std::vector<net::Socket> idle;
+    while (!stop) {
+      idle.push_back(net::ConnectTo("127.0.0.1", port));
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(root.Run([](JFrame&&) {}), std::runtime_error);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stop = true;
+  strays.join();
+  sender.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
 // A wing that dies after the rewind latch — the root has already emitted
 // jframes, so blocks it consumed are freed — and replays from record
 // zero.  The dedupe counts the freed blocks and the queued ones; the
@@ -1080,7 +1232,8 @@ TEST(SocketTraceTest, ResumableStreamParksAndDeduplicatesReplay) {
     other_header.radio = 6;  // wrong radio
     SendHelloAndHeader(other.client, other_header, /*source_id=*/9);
     std::vector<SocketTrace*> existing{trace.get()};
-    auto fresh = SocketTrace::OpenOrResume(std::move(other.server), existing);
+    auto fresh = SocketTrace::OpenOrResume(
+        CompletedHandshake(std::move(other.server)), existing);
     EXPECT_NE(fresh, nullptr);
   }
 
@@ -1093,8 +1246,8 @@ TEST(SocketTraceTest, ResumableStreamParksAndDeduplicatesReplay) {
     send_records(redial.client, 0, 5);
     SendU32(redial.client, 0);  // finalize marker
     std::vector<SocketTrace*> existing{trace.get()};
-    auto adopted = SocketTrace::OpenOrResume(std::move(redial.server),
-                                             existing);
+    auto adopted = SocketTrace::OpenOrResume(
+        CompletedHandshake(std::move(redial.server)), existing);
     EXPECT_EQ(adopted, nullptr);
   }
   EXPECT_EQ(trace->Next()->timestamp, 4'000);
@@ -1154,7 +1307,8 @@ TEST(SocketTraceTest, ResumeAfterTheLatchCountsFreedAndQueuedBlocks) {
     send_block(redial.client, 3, 8);  // straddles: 7 and 8 are new
     SendU32(redial.client, 0);
     std::vector<SocketTrace*> existing{trace.get()};
-    EXPECT_EQ(SocketTrace::OpenOrResume(std::move(redial.server), existing),
+    EXPECT_EQ(SocketTrace::OpenOrResume(
+                  CompletedHandshake(std::move(redial.server)), existing),
               nullptr);
   }
   EXPECT_EQ(obs::MetricRegistry::Global().Collect().Value(
