@@ -98,79 +98,6 @@ BENCHMARK(BM_MergeParallel)->Arg(1)->Arg(2)->Arg(0)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// Laggard-consumer scenario for the spill tier: every radio's trace is
-// fully written except one, which stops at 40% unfinalized — so its
-// channel shard starves and gates the k-way merge, exactly like a paused
-// dashboard or a lagging analysis.  Without spill (arg 0) the other
-// shards throttle at kMergeQueueWatermark and the capture-side unifiers
-// stall; with spill (arg 1) they keep consuming, staging backlog on disk.
-// The measured operation is the gated Poll(); `events_while_gated` is the
-// capture-side progress it achieved, `retained` / `spilled` show where
-// the backlog went.  Thirty simulated seconds so per-shard backlog
-// genuinely exceeds the watermark.
-void BM_MergeSpill(benchmark::State& state) {
-  namespace fs = std::filesystem;
-  const bool spill = state.range(0) != 0;
-  const fs::path dir =
-      fs::temp_directory_path() / "bench_merge_spill_traces";
-  // The writer must outlive every iteration: destroying it would finalize
-  // the laggard's trace and the scenario would stop gating.
-  static std::unique_ptr<TraceSetWriter> writer;
-  static std::size_t n_radios = 0;
-  if (writer == nullptr) {
-    static Workload w(/*pods=*/39, Seconds(30));
-    fs::remove_all(dir);
-    writer = std::make_unique<TraceSetWriter>(dir);
-    for (std::size_t i = 0; i < w.traces->size(); ++i) {
-      auto& mem = dynamic_cast<MemoryTrace&>(w.traces->at(i));
-      writer->AddRadio(mem.header());
-      const auto& recs = mem.records();
-      // Radio 0 is the laggard: 40% of its capture, never finalized.
-      const std::size_t limit = i == 0 ? recs.size() * 2 / 5 : recs.size();
-      for (std::size_t r = 0; r < limit; ++r) writer->Append(i, recs[r]);
-      writer->Sync();
-      if (i != 0) writer->Finalize(i);
-    }
-    n_radios = w.traces->size();
-  }
-
-  const fs::path spill_dir =
-      fs::temp_directory_path() / "bench_merge_spill_segments";
-  std::uint64_t events = 0;
-  std::uint64_t spilled = 0;
-  std::uint64_t retained = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    TraceSet traces = TraceSet::FollowDirectory(dir, n_radios);
-    MergeConfig cfg;
-    cfg.threads = 0;
-    if (spill) {
-      fs::remove_all(spill_dir);
-      cfg.spill_dir = spill_dir;
-      cfg.spill_threshold = 256;
-    }
-    std::uint64_t jframes = 0;
-    MergeSession session(traces, cfg, [&jframes](JFrame&&) { ++jframes; });
-    state.ResumeTiming();
-    const auto status = session.Poll();  // runs until gated by the laggard
-    state.PauseTiming();
-    if (status == MergeSession::Status::kDone) {
-      state.SkipWithError("laggard scenario unexpectedly completed");
-      break;
-    }
-    events = session.stats().events_in;
-    spilled = session.spilled_jframes();
-    retained = session.retained_jframes();
-    benchmark::DoNotOptimize(jframes);
-    state.ResumeTiming();
-  }
-  state.counters["events_while_gated"] = static_cast<double>(events);
-  state.counters["spilled"] = static_cast<double>(spilled);
-  state.counters["retained"] = static_cast<double>(retained);
-}
-BENCHMARK(BM_MergeSpill)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->Iterations(3);
-
 // End-to-end two-level distributed merge over loopback: two wings each
 // relay half the radios' record streams (socket-framed, paced by their
 // local merges) to an in-process root, which emits the global jframe

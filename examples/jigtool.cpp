@@ -10,20 +10,17 @@
 //                                   finalize at the end) — a stand-in live
 //                                   writer for `jigtool serve`
 //   jigtool info <dir>              per-radio record counts and clock info
-//   jigtool merge <dir> [threads] [--spill-dir <sdir>]
-//                 [--spill-threshold <n>] [--stats-json <file>]
+//   jigtool merge <dir> [threads] [--stats-json <file>]
 //                                   run the merge, print summary statistics
 //                                   (threads: 0 = auto, 1 = no worker pool,
 //                                   the shards step on the calling thread;
-//                                   --spill-dir stages shard backlog on disk
-//                                   instead of throttling at the watermark;
-//                                   --spill-threshold overrides the queue
-//                                   depth that engages the tier;
 //                                   --stats-json writes the pipeline metric
 //                                   registry as JSON after the run)
-//   jigtool inspect-spill <dir>     decode the spill segments in a directory
-//                                   per docs/FORMATS.md (a living check that
-//                                   the spec matches the code)
+//   jigtool inspect-spill <dir>     decode the .jigs segments in a directory
+//                                   (e.g. a serve output log, <state_root>/
+//                                   <deployment>/out) per docs/FORMATS.md
+//                                   (a living check that the spec matches
+//                                   the code)
 //   jigtool timeline <dir> [us]     Figure-2 style view of a window
 //
 // Network doors (docs/FORMATS.md "Socket transport", docs/ARCHITECTURE.md
@@ -52,7 +49,7 @@
 //                                   wing node: relay each of <dir>'s radio
 //                                   record streams to the root, verbatim
 //                                   (no local merge)
-//   jigtool root <port> <n> [threads] [--spill-dir <sdir>]
+//   jigtool root <port> <n> [threads]
 //                                   root node: accept n radio streams from
 //                                   the wings on 127.0.0.1:<port> and run
 //                                   the global merge
@@ -62,7 +59,6 @@
 //   jigtool serve <state_root> <trace_dir> [<trace_dir>...]
 //                 [--expected <n>] [--window-us <us>] [--max-bytes <n>]
 //                 [--interval-ms <ms>] [--analysis] [--until-done]
-//                 [--spill-dir <sdir>]
 //                                   long-running monitoring daemon: one
 //                                   deployment per trace directory, all
 //                                   multiplexed through a single poll
@@ -88,12 +84,12 @@
 //                                   have.
 //
 // Exit codes: 0 success, 1 unreadable/missing input or unreachable peer,
-// 2 usage error, 3 corrupt or truncated input (merge, info, timeline,
-// inspect-spill, and every network door — a mid-stream disconnect is
-// truncation).  serve follows the same contract: an unloadable .jigc
-// checkpoint, a corrupt trace or a deployment that ends failed is 3; a
-// missing trace directory is 1; a SIGTERM'd daemon exits 0 after its
-// final snapshot flush.
+// 2 usage error (including any --flag no command knows), 3 corrupt or
+// truncated input (merge, info, timeline, inspect-spill, and every network
+// door — a mid-stream disconnect is truncation).  serve follows the same
+// contract: an unloadable .jigc checkpoint, a corrupt trace or a
+// deployment that ends failed is 3; a missing trace directory is 1; a
+// SIGTERM'd daemon exits 0 after its final snapshot flush.
 //
 // The merge and timeline commands run the streaming pipeline into the
 // analysis bus — one pass over the traces feeds every analysis at once.
@@ -117,7 +113,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "jigsaw/analysis/bus.h"
@@ -424,12 +419,11 @@ int CmdWing(const char* dir, const char* root_host, long root_port,
 }
 
 // Root node: global merge over every wing's relayed radio streams.
-int CmdRoot(long port, long n, unsigned threads, const char* spill_dir) {
+int CmdRoot(long port, long n, unsigned threads) {
   RootConfig cfg;
   cfg.port = static_cast<std::uint16_t>(port);
   cfg.n_streams = static_cast<std::size_t>(n);
   cfg.merge.threads = threads;
-  if (spill_dir != nullptr) cfg.merge.spill_dir = spill_dir;
   RootSession root(cfg);
   std::printf("root: accepting %ld streams on 127.0.0.1:%u ...\n", n,
               root.port());
@@ -459,7 +453,6 @@ struct ServeOptions {
   long interval_ms = 500;   // snapshot/metrics exposition cadence
   bool analysis = false;    // run the stock analysis chain per deployment
   bool until_done = false;  // exit once every deployment finishes
-  const char* spill_dir = nullptr;
 };
 
 // Always-on monitoring daemon over one or more trace directories.  Each
@@ -505,9 +498,6 @@ int CmdServe(const char* state_root, const std::vector<const char*>& dirs,
     cfg.retention_window_us = opt.window_us;
     cfg.max_output_bytes = static_cast<std::uint64_t>(opt.max_bytes);
     cfg.analysis = opt.analysis;
-    if (opt.spill_dir != nullptr) {
-      cfg.merge.spill_dir = (fs::path(opt.spill_dir) / name).string();
-    }
     try {
       service.AddDeployment(std::move(cfg));
     } catch (const TraceError& e) {
@@ -581,8 +571,7 @@ int CmdInfo(const char* dir) {
   return 0;
 }
 
-int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
-             long spill_threshold, const char* stats_json) {
+int CmdMerge(const char* dir, unsigned threads, const char* stats_json) {
   TraceSet traces = TraceSet::OpenDirectory(dir);
   if (traces.empty()) {
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
@@ -600,10 +589,6 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
   auto& dispersion = bus.Emplace<DispersionConsumer>();
   MergeConfig cfg;
   cfg.threads = threads;
-  if (spill_dir != nullptr) cfg.spill_dir = spill_dir;
-  if (spill_threshold > 0) {
-    cfg.spill_threshold = static_cast<std::size_t>(spill_threshold);
-  }
   const auto stream = MergeTracesStreaming(traces, cfg, bus.Sink());
   bus.Finish();
 
@@ -662,7 +647,7 @@ int CmdMerge(const char* dir, unsigned threads, const char* spill_dir,
   return 0;
 }
 
-// Decodes every spill segment in a directory using the strict reader —
+// Decodes every .jigs segment in a directory using the strict reader —
 // exactly the docs/FORMATS.md rules, so this doubles as a living check
 // that the spec matches the code.  A directory left by a crashed session
 // reports truncation/corruption per segment instead of dying on the first.
@@ -681,23 +666,10 @@ int CmdInspectSpill(const char* dir) {
     std::fprintf(stderr, "no .jigs segments in %s\n", dir);
     return 1;
   }
-  // FIFO order is (channel, sequence); lexicographic filename order would
-  // misplace seq >= 10 (ch6-10 before ch6-2), misrepresenting the spill
-  // stream this tool exists to diagnose.
-  const auto segment_key = [](const fs::path& p) {
-    unsigned chan = 0;
-    unsigned long long seq = 0;
-    if (std::sscanf(p.filename().string().c_str(), "ch%u-%llu.jigs", &chan,
-                    &seq) != 2) {
-      chan = ~0u;  // foreign names sort last, still deterministically
-    }
-    return std::tuple(chan, seq, p.filename().string());
-  };
-  std::sort(segments.begin(), segments.end(),
-            [&segment_key](const fs::path& a, const fs::path& b) {
-              return segment_key(a) < segment_key(b);
-            });
-  std::printf("%zu spill segments in %s\n", segments.size(), dir);
+  // The service names its log segments out-<seq>.jigs with the sequence
+  // zero-padded to eight digits, so name order is log order.
+  std::sort(segments.begin(), segments.end());
+  std::printf("%zu segments in %s\n", segments.size(), dir);
   std::printf("  %-22s %-5s %-4s %8s %8s %10s  %s\n", "segment", "chan",
               "seq", "blocks", "jframes", "bytes", "status");
   int rc = 0;
@@ -763,23 +735,22 @@ int CmdTimeline(const char* dir, Micros span) {
   return 0;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: jigtool demo|demo-live|info|merge|"
+               "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
+               "<dir|file|port> [args] [--stats-json <file>] "
+               "[--tcp <port>]\n");
+  return 2;
+}
+
 int Dispatch(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: jigtool demo|demo-live|info|merge|"
-                 "inspect-spill|timeline|serve-trace|collect|wing|root|serve "
-                 "<dir|file|port> [args] [--spill-dir <sdir>] "
-                 "[--stats-json <file>] "
-                 "[--tcp <port>]\n");
-    return 2;
-  }
+  if (argc < 3) return Usage();
   const char* cmd = argv[1];
   const char* dir = argv[2];
   // Extract the flags any subcommand may carry; what remains are the
   // positional arguments.
-  const char* spill_dir = nullptr;
   const char* stats_json = nullptr;
-  long spill_threshold = 0;
   long tcp_port = -1;
   ServeOptions serve_opt;
   const char* ready_file = nullptr;
@@ -816,28 +787,12 @@ int Dispatch(int argc, char** argv) {
       serve_opt.until_done = true;
       continue;
     }
-    if (std::strcmp(argv[i], "--spill-dir") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--spill-dir needs a directory argument\n");
-        return 2;
-      }
-      spill_dir = argv[++i];
-      continue;
-    }
     if (std::strcmp(argv[i], "--stats-json") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--stats-json needs a file argument\n");
         return 2;
       }
       stats_json = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--spill-threshold") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--spill-threshold needs a jframe count\n");
-        return 2;
-      }
-      spill_threshold = std::atol(argv[++i]);
       continue;
     }
     if (std::strcmp(argv[i], "--tcp") == 0) {
@@ -848,18 +803,17 @@ int Dispatch(int argc, char** argv) {
       tcp_port = std::atol(argv[++i]);
       continue;
     }
+    // A mistyped flag must not become a positional (a threads count of
+    // atol("--stat-json") = 0, say) and let the command run without it.
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return Usage();
+    }
     pos.push_back(argv[i]);
   }
   const auto pos_long = [&pos](std::size_t i, long fallback) {
     return pos.size() > i ? std::atol(pos[i]) : fallback;
   };
-  if (spill_dir != nullptr && std::strcmp(cmd, "merge") != 0 &&
-      std::strcmp(cmd, "root") != 0 && std::strcmp(cmd, "serve") != 0) {
-    std::fprintf(stderr,
-                 "warning: --spill-dir only applies to merge/root/serve; "
-                 "ignored for '%s'\n",
-                 cmd);
-  }
   if (tcp_port >= 0 && std::strcmp(cmd, "demo-live") != 0) {
     std::fprintf(stderr,
                  "warning: --tcp only applies to demo-live; "
@@ -911,12 +865,11 @@ int Dispatch(int argc, char** argv) {
     // <dir> slot carries the port for this command.
     if (pos.empty()) {
       std::fprintf(stderr,
-                   "usage: jigtool root <port> <n> [threads] "
-                   "[--spill-dir <sdir>]\n");
+                   "usage: jigtool root <port> <n> [threads]\n");
       return 2;
     }
     return CmdRoot(std::atol(dir), std::atol(pos[0]),
-                   static_cast<unsigned>(pos_long(1, 0)), spill_dir);
+                   static_cast<unsigned>(pos_long(1, 0)));
   }
   if (std::strcmp(cmd, "serve") == 0) {
     // <dir> slot carries the state root; every positional is a deployment.
@@ -925,16 +878,14 @@ int Dispatch(int argc, char** argv) {
                    "usage: jigtool serve <state_root> <trace_dir> "
                    "[<trace_dir>...] [--expected <n>] [--window-us <us>] "
                    "[--max-bytes <n>] [--interval-ms <ms>] [--analysis] "
-                   "[--until-done] [--spill-dir <sdir>]\n");
+                   "[--until-done]\n");
       return 2;
     }
-    serve_opt.spill_dir = spill_dir;
     return CmdServe(dir, pos, serve_opt);
   }
   if (std::strcmp(cmd, "info") == 0) return CmdInfo(dir);
   if (std::strcmp(cmd, "merge") == 0) {
-    return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), spill_dir,
-                    spill_threshold, stats_json);
+    return CmdMerge(dir, static_cast<unsigned>(pos_long(0, 0)), stats_json);
   }
   if (std::strcmp(cmd, "inspect-spill") == 0) return CmdInspectSpill(dir);
   if (std::strcmp(cmd, "timeline") == 0) {

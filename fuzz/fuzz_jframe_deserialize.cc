@@ -2,7 +2,7 @@
 //
 // Invariant under test: for ANY input bytes, DeserializeJFrame either
 // decodes a JFrame or throws std::runtime_error — the documented failure
-// mode for malformed spill payloads (ByteReader underflow, varint overflow,
+// mode for malformed .jigs payloads (ByteReader underflow, varint overflow,
 // inconsistent instance counts).  std::bad_alloc or std::length_error from
 // a hostile declared count is NOT acceptable: the decoder must validate
 // counts against the input before allocating.  On success the frame must

@@ -1,4 +1,4 @@
-// Fuzz harness for the .jigs spill-segment reader (src/jigsaw/spill.h).
+// Fuzz harness for the .jigs segment reader (src/jigsaw/spill.h).
 //
 // Invariant under test: for ANY file contents, SpillSegmentReader either
 // replays to end-of-segment or throws exactly the documented taxonomy

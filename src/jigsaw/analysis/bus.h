@@ -23,10 +23,6 @@
 //   auto& link = bus.Emplace<LinkConsumer>();
 //   auto& interference = bus.Emplace<InterferenceConsumer>(link);
 //   auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
-//
-// The full-trace ReconstructionConsumer buffer remains available as the
-// opt-in path for consumers of the batch-only APIs (e.g. timeline
-// rendering over the collected jframe vector).
 #pragma once
 
 #include <chrono>
@@ -207,9 +203,8 @@ class LinkObserver {
 
 // Windowed, incremental link reconstruction on the bus.  Keeps only the
 // jframes still referenced by un-emitted attempts/exchanges (bounded by the
-// 500 ms exchange timeout), fanning emissions out to registered observers —
-// the streaming replacement for the ReconstructionConsumer's full-trace
-// buffer.  Register observers before the stream starts.
+// 500 ms exchange timeout), fanning emissions out to registered observers.
+// Register observers before the stream starts.
 class LinkConsumer final : public JFrameConsumer {
  public:
   explicit LinkConsumer(LinkConfig config = {})
@@ -364,48 +359,9 @@ class WiredCoverageConsumer final : public JFrameConsumer {
   CoverageReport report_;
 };
 
-// Link + transport reconstruction over a full-trace buffer — the opt-in
-// batch path.  Most dependents should ride the windowed LinkConsumer
-// instead; keep this one for analyses that genuinely need the whole jframe
-// vector alongside the reconstruction (e.g. timeline rendering).  Construct
-// with a CollectorConsumer to reuse its buffer and avoid even that copy.
-class ReconstructionConsumer final : public JFrameConsumer {
- public:
-  ReconstructionConsumer() = default;
-  explicit ReconstructionConsumer(const CollectorConsumer& shared)
-      : shared_(&shared) {}
-
-  const char* name() const override { return "reconstruction"; }
-  void OnJFrame(const JFrame& jf) override {
-    if (shared_ == nullptr) own_.push_back(jf);
-  }
-  void Finish() override {
-    link_ = ReconstructLink(jframes());
-    transport_ = ReconstructTransport(jframes(), link_);
-  }
-
-  const std::vector<JFrame>& jframes() const {
-    return shared_ ? shared_->jframes() : own_;
-  }
-  const LinkReconstruction& link() const { return link_; }
-  const TransportReconstruction& transport() const { return transport_; }
-  LinkReconstruction TakeLink() { return std::move(link_); }
-  TransportReconstruction TakeTransport() { return std::move(transport_); }
-
- private:
-  const CollectorConsumer* shared_ = nullptr;
-  std::vector<JFrame> own_;
-  LinkReconstruction link_;
-  TransportReconstruction transport_;
-};
-
-// Figure 9: co-channel interference.
-//
-// Streaming form: construct with a LinkConsumer (registered on the bus
-// before this consumer) and the per-channel windowed sweep plus pair
-// counters update incrementally — no jframe buffering.  Batch form:
-// construct with a ReconstructionConsumer; the report is computed over its
-// full-trace buffer at Finish().
+// Figure 9: co-channel interference.  Construct with a LinkConsumer
+// (registered on the bus before this consumer); the per-channel windowed
+// sweep plus pair counters update incrementally — no jframe buffering.
 class InterferenceConsumer final : public JFrameConsumer,
                                    public LinkObserver {
  public:
@@ -414,9 +370,6 @@ class InterferenceConsumer final : public JFrameConsumer,
       : link_(&link), tracker_(config) {
     link.AddObserver(*this);
   }
-  explicit InterferenceConsumer(const ReconstructionConsumer& reconstruction,
-                                InterferenceConfig config = {})
-      : reconstruction_(&reconstruction), config_(config) {}
 
   const char* name() const override { return "interference"; }
   void OnJFrame(const JFrame&) override {}  // fed via the LinkConsumer
@@ -430,24 +383,17 @@ class InterferenceConsumer final : public JFrameConsumer,
     tracker_.OnAttempt(a);
   }
 
-  void Finish() override {
-    report_ = reconstruction_ != nullptr
-                  ? ComputeInterference(reconstruction_->jframes(),
-                                        reconstruction_->link(), config_)
-                  : tracker_.Finish();
-  }
+  void Finish() override { report_ = tracker_.Finish(); }
 
-  // Streaming form only: mid-stream Figure-9 report over everything seen
-  // so far (the `serve --analysis` snapshot path).
+  // Mid-stream Figure-9 report over everything seen so far (the
+  // `serve --analysis` snapshot path).
   InterferenceReport SnapshotReport() const { return tracker_.Snapshot(); }
 
   const InterferenceReport& report() const { return report_; }
   const InterferenceTracker& tracker() const { return tracker_; }
 
  private:
-  const LinkConsumer* link_ = nullptr;
-  const ReconstructionConsumer* reconstruction_ = nullptr;
-  InterferenceConfig config_;
+  const LinkConsumer* link_;
   InterferenceTracker tracker_;
   InterferenceReport report_;
   obs::Gauge& window_gauge_ =
@@ -455,12 +401,10 @@ class InterferenceConsumer final : public JFrameConsumer,
 };
 
 // Figure 11: TCP loss decomposition.  With a labeler, the grouped
-// decomposition is computed as well.
-//
-// Streaming form: construct with a LinkConsumer (registered on the bus
-// before this consumer); flows update incrementally as exchanges are
-// emitted, so no jframe buffering is needed.  Batch form: construct with a
-// ReconstructionConsumer to compute over its full-trace buffer.
+// decomposition is computed as well.  Construct with a LinkConsumer
+// (registered on the bus before this consumer); flows update
+// incrementally as exchanges are emitted, so no jframe buffering is
+// needed.
 class TcpLossConsumer final : public JFrameConsumer, public LinkObserver {
  public:
   explicit TcpLossConsumer(LinkConsumer& link, TcpLossConfig config = {},
@@ -468,12 +412,6 @@ class TcpLossConsumer final : public JFrameConsumer, public LinkObserver {
       : config_(config), labeler_(std::move(labeler)) {
     link.AddObserver(*this);
   }
-  explicit TcpLossConsumer(const ReconstructionConsumer& reconstruction,
-                           TcpLossConfig config = {},
-                           TcpFlowLabeler labeler = nullptr)
-      : reconstruction_(&reconstruction),
-        config_(config),
-        labeler_(std::move(labeler)) {}
 
   const char* name() const override { return "tcp-loss"; }
   void OnJFrame(const JFrame&) override {}  // fed via the LinkConsumer
@@ -484,28 +422,24 @@ class TcpLossConsumer final : public JFrameConsumer, public LinkObserver {
   }
 
   void Finish() override {
-    if (reconstruction_ == nullptr) transport_ = tracker_.Finish();
-    const TransportReconstruction& transport =
-        reconstruction_ != nullptr ? reconstruction_->transport()
-                                   : transport_;
-    report_ = ComputeTcpLoss(transport, config_);
+    transport_ = tracker_.Finish();
+    report_ = ComputeTcpLoss(transport_, config_);
     if (labeler_) {
-      groups_ = ComputeTcpLossByGroup(transport, labeler_, config_);
+      groups_ = ComputeTcpLossByGroup(transport_, labeler_, config_);
     }
   }
 
   const TcpLossReport& report() const { return report_; }
   const std::vector<TcpLossGroup>& groups() const { return groups_; }
-  // Streaming form only: the incrementally reconstructed transport layer.
+  // The incrementally reconstructed transport layer.
   const TransportReconstruction& transport() const { return transport_; }
-  // Streaming form only: mid-stream Figure-11 report over every flow seen
-  // so far (the `serve --analysis` snapshot path).
+  // Mid-stream Figure-11 report over every flow seen so far (the
+  // `serve --analysis` snapshot path).
   TcpLossReport SnapshotReport() const {
     return ComputeTcpLoss(tracker_.Snapshot(), config_);
   }
 
  private:
-  const ReconstructionConsumer* reconstruction_ = nullptr;
   TcpLossConfig config_;
   TcpFlowLabeler labeler_;
   TransportTracker tracker_;

@@ -71,12 +71,12 @@ struct JFrame {
 };
 
 // Bounded freelist of jframes for the merge hot path: the unifier acquires,
-// the emit funnel (or spill drain) recycles the carcass once the consumer
+// the emit funnel recycles the carcass once the consumer
 // has taken what it wants, and steady-state emission stops allocating.
 //
 // Deliberately unsynchronized.  Within a MergeSession each shard owns one
 // pool, and the existing round barrier already serializes worker-phase
-// accesses (unifier Acquire, spill-drain Recycle) against merge-phase
+// accesses (unifier Acquire) against merge-phase
 // accesses (emit Recycle) — the same happens-before discipline that
 // protects the shard queues themselves.
 class JFramePool {

@@ -1,6 +1,5 @@
 #include "jigsaw/pipeline.h"
 
-#include "jigsaw/spill.h"
 #include "obs/stage_timer.h"
 
 #include <algorithm>
@@ -155,21 +154,6 @@ void ValidateMergeConfig(const MergeConfig& config) {
         " us); a shorter horizon releases jframes before the group that "
         "precedes them can still form, producing an out-of-order stream");
   }
-  if (!config.spill_dir.empty()) {
-    if (config.spill_threshold == 0) {
-      throw std::invalid_argument(
-          "MergeConfig: spill_threshold must be > 0 when spill_dir is set");
-    }
-    if (config.spill_threshold > kMergeQueueWatermark) {
-      throw std::invalid_argument(
-          "MergeConfig: spill_threshold (" +
-          std::to_string(config.spill_threshold) +
-          ") exceeds kMergeQueueWatermark (" +
-          std::to_string(kMergeQueueWatermark) +
-          "); the queue throttles at the watermark, so a higher threshold "
-          "could never engage the spill tier");
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -192,17 +176,7 @@ struct MergeSession::Impl {
     std::unique_ptr<ReorderBuffer> reorder;
     std::unique_ptr<Unifier> unifier;
     bool exhausted = false;  // unifier done and reorder flushed
-    // Spill tier (null when MergeConfig::spill_dir is empty).  While
-    // `spilling` is latched, every un-replayed spilled jframe precedes
-    // everything in `queue`, so the consumer replays the spill to
-    // exhaustion before touching the queue again — that invariant is the
-    // whole ordering argument for spill-mode byte-identity.
-    std::unique_ptr<SpillQueue> spill;
-    bool spilling = false;
-    // Consumer-side staging for the k-way merge's peek (Pop() is
-    // destructive); counts as retained.
-    std::optional<JFrame> spill_head;
-    // Arena: the unifier acquires, the emit path and spill drain recycle.
+    // Arena: the unifier acquires, the emit path recycles.
     // Worker-phase and merge-phase accesses are serialized by the round
     // barrier — see JFramePool.
     JFramePool pool;
@@ -228,8 +202,6 @@ struct MergeSession::Impl {
   bool partitioned = false;
   std::vector<std::unique_ptr<LiveShard>> live;
   unsigned workers = 1;
-  SpillBudget spill_budget;      // shared across shards (max_spill_bytes)
-  std::uint64_t final_spilled = 0;  // lifetime total, latched at teardown
 
   // Round-barrier worker pool (only when workers > 1).
   std::vector<std::thread> pool;
@@ -355,7 +327,6 @@ struct MergeSession::Impl {
   void SetupMerge() {
     shards = traces.PartitionByChannel();
     partitioned = true;
-    spill_budget.limit = config.max_spill_bytes;
     live.reserve(shards.size());
     for (std::size_t s = 0; s < shards.size(); ++s) {
       auto ls = std::make_unique<LiveShard>();
@@ -372,11 +343,6 @@ struct MergeSession::Impl {
             reorder->Push(std::move(jf));
           },
           &ls->pool);
-      if (!config.spill_dir.empty()) {
-        ls->spill = std::make_unique<SpillQueue>(
-            config.spill_dir,
-            static_cast<std::uint8_t>(shards[s].channel), &spill_budget);
-      }
       live.push_back(std::move(ls));
     }
     // The unifiers' rewind was the last one: from here on a stream may
@@ -392,52 +358,17 @@ struct MergeSession::Impl {
 
   // ---- worker rounds ------------------------------------------------------
 
-  // Drains the shard queue into its spill tier when engaged (already
-  // spilling, or the queue crossed the threshold).  Spilling stays latched
-  // until the consumer replays the spill dry — while latched, everything
-  // in the queue is newer than everything spilled, so draining front-first
-  // preserves FIFO order.  Push refusal (budget exhausted) leaves the rest
-  // queued: the shard degrades to plain watermark backpressure until
-  // replay reclaims segments.  Returns true if anything moved to disk.
-  bool MaybeSpill(LiveShard& ls) {
-    if (ls.spill == nullptr) return false;
-    if (!ls.spilling && ls.queue.size() < config.spill_threshold) {
-      return false;
-    }
-    ls.spilling = true;
-    bool moved = false;
-    while (!ls.queue.empty() && ls.spill->Push(ls.queue.front())) {
-      // Push serialized without consuming; recycle the carcass (worker
-      // thread, this shard's pool — the barrier orders it vs. emit).
-      ls.pool.Recycle(std::move(ls.queue.front()));
-      ls.queue.pop_front();
-      moved = true;
-    }
-    if (moved) ls.spill->Sync();  // publish before the round barrier
-    return moved;
-  }
-
   // Steps one shard, `slice` groups at a time, until it starves, exhausts,
-  // or its queue holds `queue_cap` jframes (with the spill tier engaged, the
-  // queue drains to disk instead, so only budget exhaustion still hits the
-  // cap).  Returns true if anything was consumed, produced or spilled.
-  //
-  // The engage decision runs once, at round entry: a queue still at or
-  // past the threshold *here* is what the consumer's last drain pass
-  // could not take — actual lag.  The transient fill while this round's
-  // unifier runs is not lag (the consumer never gets to run mid-round),
-  // so it must not engage the tier: otherwise a plain batch merge with a
-  // spill_dir would stage its entire stream through disk in round one.
+  // or its queue holds `queue_cap` jframes.  Returns true if anything was
+  // consumed or produced.
   bool StepShard(LiveShard& ls, std::size_t slice, std::size_t queue_cap) {
     if (ls.exhausted) return false;
     // Metrics ride the stats deltas of the whole call — one pair of
     // counter adds per StepShard, nothing per event.
     const std::uint64_t events_at_entry = ls.unifier->stats().events_in;
     const std::uint64_t jframes_at_entry = ls.unifier->stats().jframes;
-    bool progress = MaybeSpill(ls);
-    for (;;) {
-      if (ls.spilling) progress = MaybeSpill(ls) || progress;
-      if (ls.queue.size() >= queue_cap) break;
+    bool progress = false;
+    while (ls.queue.size() < queue_cap) {
       const std::uint64_t before = ls.unifier->stats().events_in;
       const std::size_t queued = ls.queue.size();
       const UnifyStep step = ls.unifier->Step(slice);
@@ -451,7 +382,6 @@ struct MergeSession::Impl {
         break;
       }
     }
-    if (ls.spilling) progress = MaybeSpill(ls) || progress;
     if (obs::Enabled()) {
       PipelineMetrics& m = Metrics();
       const UnifyStats& after = ls.unifier->stats();
@@ -516,15 +446,13 @@ struct MergeSession::Impl {
   // Runs one round; returns whether any shard progressed.  The pooled
   // round steps every shard up to the watermark.  The inline round pulls:
   // it steps only the shards that gate the merge (not exhausted, nothing
-  // consumable), each just until a head appears or it starves.  An inline
-  // shard is therefore only ever stepped with an empty queue, so the spill
-  // tier's round-entry check never sees lag and threads == 1 never spills.
+  // consumable), each just until a head appears or it starves.
   bool RunRound() {
     Metrics().rounds.Add(1);
     if (pool.empty()) {
       bool progress = false;
       for (auto& ls : live) {
-        if (ls->exhausted || ShardHead(*ls) != nullptr) continue;
+        if (ls->exhausted || !ls->queue.empty()) continue;
         progress = StepShard(*ls, kPullStep, 1) || progress;
       }
       return progress;
@@ -548,40 +476,6 @@ struct MergeSession::Impl {
 
   // ---- consumer merge -----------------------------------------------------
 
-  // The shard's next jframe in FIFO order, or nullptr when it has nothing
-  // consumable right now.  The spill tier is always replayed before the
-  // in-memory queue; once it runs dry the shard drops back to in-memory
-  // hand-off (un-latching `spilling` so the worker stops draining).
-  const JFrame* ShardHead(LiveShard& ls) {
-    if (ls.spill != nullptr) {
-      if (!ls.spill_head) ls.spill_head = ls.spill->Pop();
-      if (ls.spill_head) return &*ls.spill_head;
-      if (!ls.spill->Empty()) {
-        // Spilled but not yet published — only possible mid-round, which
-        // the barrier excludes; treat as not consumable out of caution.
-        return nullptr;
-      }
-      ls.spilling = false;  // replayed dry: resume in-memory hand-off
-      // Reclaim the drained open segment too, releasing its budget bytes
-      // — otherwise one long lag episode could pin the whole
-      // max_spill_bytes budget for the rest of the session.
-      ls.spill->ReclaimDrained();
-    }
-    return ls.queue.empty() ? nullptr : &ls.queue.front();
-  }
-
-  // Pops the jframe ShardHead returned.
-  JFrame TakeShardHead(LiveShard& ls) {
-    if (ls.spill_head) {
-      JFrame jf = std::move(*ls.spill_head);
-      ls.spill_head.reset();
-      return jf;
-    }
-    JFrame jf = std::move(ls.queue.front());
-    ls.queue.pop_front();
-    return jf;
-  }
-
   // Emits the globally least OrderKey among the shard heads, exactly like
   // the batch k-way merge: correctness needs a head (or final
   // end-of-stream) from every shard before each emission, so a starved
@@ -595,21 +489,22 @@ struct MergeSession::Impl {
       bool gated = false;
       for (std::size_t i = 0; i < n; ++i) {
         LiveShard& ls = *live[i];
-        const JFrame* head = ShardHead(ls);
-        if (head == nullptr) {
+        if (ls.queue.empty()) {
           if (!ls.exhausted) {
             gated = true;
             break;
           }
           continue;
         }
+        const JFrame* head = &ls.queue.front();
         if (best == n || KeyOf(*head) < KeyOf(*best_head)) {
           best = i;
           best_head = head;
         }
       }
       if (gated || best == n) return merged;
-      JFrame jf = TakeShardHead(*live[best]);
+      JFrame jf = std::move(live[best]->queue.front());
+      live[best]->queue.pop_front();
       ++merged;
       Emit(std::move(jf));  // user code runs on the Poll() thread
       // Recycle what the sink left behind into the source shard's pool
@@ -621,27 +516,7 @@ struct MergeSession::Impl {
   std::size_t Retained() const {
     std::size_t total = 0;
     for (const auto& ls : live) {
-      // Spilled jframes live on disk, not in memory — only the staged
-      // consumer-side head counts here.  That asymmetry is the point of
-      // the tier: lagging by a million jframes retains one.
-      total += ls->queue.size() + ls->reorder->size() +
-               (ls->spill_head ? 1 : 0);
-    }
-    return total;
-  }
-
-  std::uint64_t Spilled() const {
-    std::uint64_t total = final_spilled;
-    for (const auto& ls : live) {
-      if (ls->spill != nullptr) total += ls->spill->spilled_jframes();
-    }
-    return total;
-  }
-
-  std::uint64_t SpillBytesOnDisk() const {
-    std::uint64_t total = 0;
-    for (const auto& ls : live) {
-      if (ls->spill != nullptr) total += ls->spill->bytes_on_disk();
+      total += ls->queue.size() + ls->reorder->size();
     }
     return total;
   }
@@ -683,8 +558,7 @@ struct MergeSession::Impl {
       if (!stepped && !merged) break;
     }
     for (const auto& ls : live) {
-      if (!ls->exhausted || !ls->queue.empty() || ls->spill_head ||
-          (ls->spill != nullptr && !ls->spill->Empty())) {
+      if (!ls->exhausted || !ls->queue.empty()) {
         return Status::kStarved;
       }
     }
@@ -692,13 +566,10 @@ struct MergeSession::Impl {
     // Tear the shard machinery down now, not at destruction: the contract
     // hands the streams back to the caller's TraceSet as soon as the
     // session completes, so the set is reusable while the session (and
-    // its stats) live on.  Dropping the shards also removes any remaining
-    // spill segments (all replayed by now — SpillQueue's destructor only
-    // cleans up files).
+    // its stats) live on.
     StopPool();
     PublishArenaMetrics();  // the pools die with `live` below
     final_stats = Stats();
-    final_spilled = Spilled();
     live.clear();  // unifiers reference the shard trace sets — drop first
     Reassemble();
     return Status::kDone;
@@ -762,14 +633,6 @@ std::size_t MergeSession::retained_jframes() const {
 
 std::size_t MergeSession::peak_retained_jframes() const {
   return impl_->peak_retained;
-}
-
-std::uint64_t MergeSession::spilled_jframes() const {
-  return impl_->Spilled();
-}
-
-std::uint64_t MergeSession::spill_bytes_on_disk() const {
-  return impl_->SpillBytesOnDisk();
 }
 
 std::int64_t MergeSession::live_lag_us() const { return impl_->LiveLagUs(); }

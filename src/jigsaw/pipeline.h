@@ -53,40 +53,17 @@ struct MergeConfig {
   // N caps the pool at N workers, which then interleave the shards
   // cooperatively.  Every setting produces a byte-identical jframe stream.
   unsigned threads = 1;
-  // ---- on-disk spill tier (sharded paths; see src/jigsaw/spill.h and
-  // docs/ARCHITECTURE.md, "The spill tier") -------------------------------
-  // Directory for spill segments; empty (the default) disables spilling.
-  // When a shard's output queue still holds spill_threshold jframes at
-  // worker-round entry — i.e. the consumer's last drain pass could not
-  // take them, which is actual lag rather than the transient fill of a
-  // round in progress — the worker drains the queue into .jigs segments
-  // under this directory and the k-way merge replays them in order before
-  // resuming in-memory hand-off.  A consumer can therefore lag far behind
-  // without the queue watermark stalling the capture-side unifiers, while
-  // a merge whose consumer keeps up touches disk only for round residue.
-  // Segments are removed as they are replayed and when the session ends;
-  // the directory should be private to one session.
-  // Spilling leaves the emitted stream byte-identical: on, off, or
-  // engaging/disengaging mid-stream, for every `threads` setting (pinned in
-  // tests/spill_test.cc).  With one worker (threads == 1, or one channel)
-  // a shard is only stepped while its queue is empty, so the tier never
-  // engages.
+  // Unused: the merge has no spill tier.  A shard gated by the k-way merge
+  // stops at kMergeQueueWatermark and its unread records wait in their
+  // trace files or socket queue (docs/ARCHITECTURE.md, "Why the merge has
+  // no spill").  Kept only because an existing caller
+  // (bench/e2e/service.cc) still sets it.
   std::filesystem::path spill_dir;
-  // Queue depth that engages the spill tier.  Validated at entry when
-  // spill_dir is set: must be positive and no larger than
-  // kMergeQueueWatermark (a higher threshold could never trigger).
-  std::size_t spill_threshold = 2048;
-  // Cap on the total on-disk footprint of live spill segments across all
-  // shards; 0 = uncapped.  At the cap (enforced at block granularity) the
-  // pipeline degrades to the plain watermark backpressure it has without a
-  // spill tier.
-  std::uint64_t max_spill_bytes = 0;
 };
 
 // Throws std::invalid_argument on inconsistent configuration (today:
-// reorder_horizon <= unifier.search_window, a non-positive window, or a
-// spill_threshold of zero / above kMergeQueueWatermark when spill_dir is
-// set).  Called by MergeTraces / MergeTracesStreaming at entry.
+// reorder_horizon <= unifier.search_window, or a non-positive window).
+// Called by MergeTraces / MergeTracesStreaming at entry.
 void ValidateMergeConfig(const MergeConfig& config);
 
 struct MergeResult {
@@ -111,7 +88,8 @@ MergeStreamStats MergeTracesStreaming(TraceSet& traces,
 // Per-shard buffering bound of the pooled rounds: a shard whose output
 // queue holds this many jframes stops unifying until the consumer drains
 // it, so retention stays bounded even when one radio lags far behind the
-// rest (the lagging shard gates emission; the others throttle here).
+// rest (the lagging shard gates emission; the others throttle here, their
+// unread records waiting in the trace files or socket queues).
 inline constexpr std::size_t kMergeQueueWatermark = 4096;
 
 // Lag between a captured frontier and an emitted timestamp, clamped at
@@ -177,18 +155,13 @@ class MergeSession {
   // bounded-retention guarantee under starved/uneven sources.
   std::size_t retained_jframes() const;
   std::size_t peak_retained_jframes() const;
-  // Spill-tier counters (always 0 with spilling disabled or one worker):
-  // lifetime jframes staged through disk, and the current on-disk footprint
-  // of not-yet-reclaimed segments.
-  std::uint64_t spilled_jframes() const;
-  std::uint64_t spill_bytes_on_disk() const;
   // How far (capture-time us) the emitted stream trails the newest jframe
   // any unifier has produced.  0 until both frontiers exist.  For a live
   // follow this is the merge lag a dashboard wants; for a batch merge it is
   // just the reorder-horizon depth at the moment of the call.
   std::int64_t live_lag_us() const;
   // Aggregated view of the process-global metric registry (every stage —
-  // trace IO, bootstrap, shards, spill, merge, analysis bus — reports into
+  // trace IO, bootstrap, shards, merge, analysis bus — reports into
   // one registry, so this is a whole-pipeline snapshot, not a per-session
   // one).  Feed it to obs::ToPrometheusText / obs::ToJson.
   obs::MetricsSnapshot MetricsSnapshot() const;

@@ -285,13 +285,6 @@ DeploymentMonitor::DeploymentMonitor(DeploymentConfig config,
   if (cp && cp->frontiers.size() > expected_traces_) {
     expected_traces_ = cp->frontiers.size();
   }
-  // A crashed session's merge-spill segments are session-private residue;
-  // the replay rebuilds any backlog it needs.
-  if (!config_.merge.spill_dir.empty()) {
-    std::error_code ec;
-    fs::remove_all(config_.merge.spill_dir, ec);
-    fs::create_directories(config_.merge.spill_dir);
-  }
   RecoverLog(cp);
   suppress_remaining_ = log_index_;
   if (config_.analysis) {

@@ -8,7 +8,7 @@
 //
 //   * DeploymentMonitor — one deployment (a directory of growing .jigt
 //     traces): non-blocking trace discovery, a resumable MergeSession, a
-//     durable output log of the merged jframe stream (spill-segment
+//     durable output log of the merged jframe stream (.jigs segment
 //     format, out-<seq>.jigs), the stock analysis chain, rolling
 //     retention over the log, and a .jigc checkpoint after every round
 //     that changed durable state.
@@ -122,9 +122,8 @@ struct DeploymentConfig {
   // its checkpoint.  Keep it to [A-Za-z0-9_.-].
   std::string name;
   std::filesystem::path trace_dir;  // directory of (growing) .jigt traces
-  // Private state root: <state_dir>/checkpoint.jigc, <state_dir>/out/
-  // (output log), and — when merge.spill_dir is left empty but spilling
-  // is wanted — callers typically point merge.spill_dir inside it too.
+  // Private state root: <state_dir>/checkpoint.jigc and <state_dir>/out/
+  // (output log).
   std::filesystem::path state_dir;
   MergeConfig merge;
   // Traces to wait for before bootstrapping, under the followed-directory

@@ -6,17 +6,14 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace jig {
 namespace {
 
 namespace fs = std::filesystem;
 
 constexpr const char* kWhat = "spill segment";
-// Fast level: spill blocks are written on the shard worker's round (the
-// merge hot path) and live only until replay, so compression latency
-// matters more than ratio here.
+// Fast level: output-log blocks are cut on the service's poll loop, so
+// compression latency matters more than ratio here.
 constexpr block_codec::Format kSpillFormat{kSpillMagic, kSpillVersion, kWhat,
                                            LzLevel::kFast};
 
@@ -167,7 +164,7 @@ bool SpillSegmentReader::LoadNextBlock() {
       file_.ReadFrame(offset_, frame, block_codec::ParseUnit);
   switch (unit.status) {
     case block_codec::Status::kNeedMore:
-      // Strict: a crash mid-spill.  Tail: the writer has not published
+      // Strict: a crash mid-write.  Tail: the writer has not published
       // this far yet; the next call re-polls from the same frontier.
       if (strict_) {
         throw TraceTruncatedError(
@@ -200,169 +197,11 @@ std::optional<JFrame> SpillSegmentReader::Next() {
     // In strict mode a segment that ends between blocks without the
     // finalize marker throws TraceTruncatedError from LoadNextBlock (the
     // length-word read hits EOF): a writer that died between blocks is
-    // still a crash mid-spill, not a complete segment.
+    // still a crash mid-write, not a complete segment.
     if (!LoadNextBlock()) return std::nullopt;
   }
   ++records_read_;
   return std::move(block_[block_pos_++]);
-}
-
-// ---------------------------------------------------------------------------
-// SpillQueue.
-
-namespace {
-
-struct SpillMetrics {
-  obs::Counter& segments_written = obs::MetricRegistry::Global().GetCounter(
-      "jig_spill_segments_written_total", "Spill segments opened on disk");
-  obs::Counter& segments_replayed = obs::MetricRegistry::Global().GetCounter(
-      "jig_spill_segments_replayed_total",
-      "Spill segments fully replayed and reclaimed");
-  obs::Counter& jframes_spilled = obs::MetricRegistry::Global().GetCounter(
-      "jig_spill_jframes_spilled_total", "JFrames pushed to the spill tier");
-  obs::Counter& jframes_replayed = obs::MetricRegistry::Global().GetCounter(
-      "jig_spill_jframes_replayed_total",
-      "JFrames replayed from the spill tier");
-  obs::Gauge& bytes_on_disk = obs::MetricRegistry::Global().GetGauge(
-      "jig_spill_bytes_on_disk", "Live spill bytes across all shards");
-  obs::Counter& backpressure = obs::MetricRegistry::Global().GetCounter(
-      "jig_spill_backpressure_total",
-      "Pushes refused because the spill byte budget was exhausted");
-};
-
-SpillMetrics& Metrics() {
-  static SpillMetrics* m = new SpillMetrics();
-  return *m;
-}
-
-}  // namespace
-
-SpillQueue::SpillQueue(fs::path dir, std::uint8_t channel,
-                       SpillBudget* budget, std::uint64_t segment_bytes)
-    : dir_(std::move(dir)),
-      channel_(channel),
-      budget_(budget),
-      segment_bytes_(segment_bytes) {
-  fs::create_directories(dir_);
-}
-
-SpillQueue::~SpillQueue() {
-  reader_.reset();
-  writer_.reset();
-  // Best effort, and idempotent per segment: a reader destructing
-  // mid-replay while the writer had rotated must not release any
-  // segment's bytes twice (ReleaseSegment zeroes `charged`).
-  for (Segment& seg : segments_) ReleaseSegment(seg);
-  segments_.clear();
-}
-
-void SpillQueue::ReleaseSegment(Segment& seg) {
-  std::error_code ec;  // best effort: also runs from the destructor
-  fs::remove(seg.path, ec);
-  if (seg.charged == 0) return;  // already released: exactly-once
-  bytes_on_disk_ -= seg.charged;
-  Metrics().bytes_on_disk.Add(-static_cast<std::int64_t>(seg.charged));
-  if (budget_ != nullptr) budget_->Release(seg.charged);
-  seg.charged = 0;
-}
-
-void SpillQueue::OpenSegmentForPush() {
-  // Rotate once the open segment is big enough: a finished segment can be
-  // deleted as soon as it is replayed, so rotation is what bounds how long
-  // already-replayed bytes linger on disk.
-  if (writer_ != nullptr &&
-      writer_->bytes_written() >= segment_bytes_) {
-    writer_->Finish();
-    ChargeDelta();
-    segments_.back().finished = true;
-    writer_.reset();
-  }
-  if (writer_ == nullptr) {
-    SpillSegmentHeader header;
-    header.channel = channel_;
-    header.sequence = next_sequence_++;
-    Segment seg;
-    seg.path = dir_ / ("ch" + std::to_string(channel_) + "-" +
-                       std::to_string(header.sequence) + ".jigs");
-    writer_ = std::make_unique<SpillSegmentWriter>(seg.path, header);
-    segments_.push_back(std::move(seg));
-    Metrics().segments_written.Add(1);
-    ChargeDelta();
-  }
-}
-
-// Brings the budget/footprint accounting up to the writer's published
-// bytes.  Called after every publication point (Sync / Finish / open).
-void SpillQueue::ChargeDelta() {
-  if (writer_ == nullptr || segments_.empty()) return;
-  Segment& seg = segments_.back();
-  const std::uint64_t written = writer_->bytes_written();
-  if (written > seg.charged) {
-    const std::uint64_t delta = written - seg.charged;
-    seg.charged = written;
-    bytes_on_disk_ += delta;
-    Metrics().bytes_on_disk.Add(static_cast<std::int64_t>(delta));
-    if (budget_ != nullptr) budget_->Charge(delta);
-  }
-}
-
-bool SpillQueue::Push(const JFrame& jf) {
-  if (budget_ != nullptr && budget_->Full()) {
-    Metrics().backpressure.Add(1);
-    return false;
-  }
-  OpenSegmentForPush();
-  writer_->Append(jf);
-  // Charge after every append, not just at Sync: Append flushes a block
-  // to disk whenever the pending batch fills, and the budget check above
-  // must see those bytes — this is what bounds cap overshoot to one
-  // compressed block per shard rather than a whole drain.
-  ChargeDelta();
-  ++spilled_;
-  Metrics().jframes_spilled.Add(1);
-  return true;
-}
-
-void SpillQueue::Sync() {
-  if (writer_ == nullptr) return;
-  writer_->Sync();
-  ChargeDelta();
-}
-
-void SpillQueue::ReclaimDrained() {
-  if (!Empty() || segments_.empty()) return;
-  reader_.reset();
-  writer_.reset();  // finalizes the open segment; it is deleted next
-  for (Segment& seg : segments_) ReleaseSegment(seg);
-  segments_.clear();
-}
-
-std::optional<JFrame> SpillQueue::Pop() {
-  while (!segments_.empty()) {
-    if (reader_ == nullptr) {
-      // Tail mode: the front segment may still be the writer's open one;
-      // only published blocks are visible, which is exactly the contract
-      // (Push/Sync happen-before Pop via the round barrier).
-      reader_ = std::make_unique<SpillSegmentReader>(segments_.front().path,
-                                                     /*strict=*/false);
-    }
-    if (auto jf = reader_->Next()) {
-      ++replayed_;
-      Metrics().jframes_replayed.Add(1);
-      return jf;
-    }
-    Segment& front = segments_.front();
-    if (!front.finished || !reader_->finalized()) {
-      // Frontier of the still-open segment: nothing further is published.
-      return std::nullopt;
-    }
-    // Finished segment fully replayed: reclaim it.
-    reader_.reset();
-    Metrics().segments_replayed.Add(1);
-    ReleaseSegment(front);
-    segments_.pop_front();
-  }
-  return std::nullopt;
 }
 
 }  // namespace jig

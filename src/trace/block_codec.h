@@ -5,7 +5,7 @@
 //   units    repeated [u32 len > 0][LZ block]
 //   marker   [u32 0]
 //
-// .jigt files, .jigs spill segments and the socket stream all carry it, so
+// .jigt files, .jigs segments and the socket stream all carry it, so
 // it is parsed and written here once.  The write half is one Encoder over a
 // byte Sink (see below).  The parsers are a push decoder over whatever
 // bytes the caller holds: each call answers "need more bytes", "finalize

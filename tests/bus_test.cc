@@ -48,14 +48,12 @@ MergeResult* BusEquivalence::batch_ = nullptr;
 TEST_F(BusEquivalence, SinglePassMatchesBatchAnalyses) {
   AnalysisBus bus;
   auto& collector = bus.Emplace<CollectorConsumer>();
-  auto& reconstruction = bus.Emplace<ReconstructionConsumer>(collector);
   auto& dispersion = bus.Emplace<DispersionConsumer>();
   auto& activity = bus.Emplace<ActivityConsumer>(Seconds(1));
   auto& coverage =
       bus.Emplace<WiredCoverageConsumer>(scenario_->wired_records());
-  auto& tcp_loss = bus.Emplace<TcpLossConsumer>(reconstruction);
   bus.SetTerminal(collector);  // collector receives the stream by move
-  ASSERT_EQ(bus.consumer_count(), 6u);
+  ASSERT_EQ(bus.consumer_count(), 4u);
 
   MergeConfig cfg;
   cfg.threads = 0;  // the parallel merge feeds the bus
@@ -98,21 +96,8 @@ TEST_F(BusEquivalence, SinglePassMatchesBatchAnalyses) {
   EXPECT_EQ(coverage.report().matched_packets, batch_cov.matched_packets);
   EXPECT_EQ(coverage.report().stations.size(), batch_cov.stations.size());
 
-  // Reconstruction (shared collector buffer) and TCP loss.
-  const auto batch_link = ReconstructLink(batch_->jframes);
-  EXPECT_EQ(reconstruction.link().attempts.size(),
-            batch_link.attempts.size());
-  EXPECT_EQ(reconstruction.link().exchanges.size(),
-            batch_link.exchanges.size());
-  const auto batch_transport = ReconstructTransport(batch_->jframes,
-                                                    batch_link);
-  const auto batch_loss = ComputeTcpLoss(batch_transport);
-  EXPECT_EQ(tcp_loss.report().flows_considered,
-            batch_loss.flows_considered);
-  EXPECT_DOUBLE_EQ(tcp_loss.report().aggregate_loss_rate,
-                   batch_loss.aggregate_loss_rate);
-  EXPECT_DOUBLE_EQ(tcp_loss.report().aggregate_wireless_rate,
-                   batch_loss.aggregate_wireless_rate);
+  // Link reconstruction and TCP loss ride the windowed LinkConsumer:
+  // WindowedLinkPathMatchesBatchWithoutCollector pins them.
 }
 
 TEST_F(BusEquivalence, WindowedLinkPathMatchesBatchWithoutCollector) {

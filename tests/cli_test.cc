@@ -100,6 +100,24 @@ TEST_F(CliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunJigtool("merge " + dir_.string() + " --stats-json"), 2);
 }
 
+// A mistyped or retired flag is a usage error, never a positional: over a
+// valid directory the merge would otherwise run (exit 0) with
+// atol("--stat-json") = 0 as its threads count and write no metrics file.
+TEST_F(CliTest, UnknownFlagExitsTwo) {
+  const fs::path traces = dir_ / "traces";
+  fs::create_directories(traces);
+  WriteValidTrace("traces/r1.jigt");
+  ASSERT_EQ(RunJigtool("merge " + traces.string()), 0);
+  const fs::path json = dir_ / "out.json";
+  EXPECT_EQ(RunJigtool("merge " + traces.string() + " --stat-json " +
+                       json.string()),
+            2);
+  EXPECT_FALSE(fs::exists(json));
+  EXPECT_EQ(RunJigtool("merge " + traces.string() + " --spill-dir " +
+                       (dir_ / "x").string()),
+            2);
+}
+
 // Every batch door over a trace directory maps a missing or empty
 // directory to 1 and a corrupt trace to 3 — never an uncaught exception.
 TEST_F(CliTest, BatchDoorsOnMissingEmptyOrCorruptInput) {

@@ -7,9 +7,9 @@
 // state (peer disconnect before the marker) surfacing as truncation.
 // Second, the tentpole determinism pin: a 2-wing distributed merge must
 // emit a jframe stream byte-identical to the single-node merge of the same
-// trace files, across threads in {1, 2, auto} and with spill engaged —
-// the distributed topology may change WHERE records travel, never WHAT
-// the global unifier says about them.
+// trace files, across threads in {1, 2, auto} — the distributed topology
+// may change WHERE records travel, never WHAT the global unifier says about
+// them.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -21,7 +21,6 @@
 #include <filesystem>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "jframe_equality.h"
@@ -469,11 +468,10 @@ class DistributedTest : public ::testing::Test {
 
 class DistributedVsSingleNode
     : public DistributedTest,
-      public ::testing::WithParamInterface<std::tuple<unsigned, bool>> {};
+      public ::testing::WithParamInterface<unsigned> {};
 
-TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
-  const unsigned threads = std::get<0>(GetParam());
-  const bool spill = std::get<1>(GetParam());
+TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreads) {
+  const unsigned threads = GetParam();
 
   // Serialize the network to files FIRST: the .jigt encoding quantizes
   // rssi, so both sides must merge the same on-disk records (comparing a
@@ -504,10 +502,6 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
   RootConfig rc;
   rc.n_streams = n;
   rc.merge.threads = threads;
-  if (spill) {
-    rc.merge.spill_dir = dir_ / "spill_root";
-    rc.merge.spill_threshold = 16;  // force spill engagement early
-  }
   RootSession root(rc);
   const std::uint16_t port = root.port();
 
@@ -569,9 +563,8 @@ TEST_P(DistributedVsSingleNode, ByteIdenticalAcrossThreadsAndSpill) {
   EXPECT_EQ(root.boundary_jframes(), boundary);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsBySpill, DistributedVsSingleNode,
-    ::testing::Combine(::testing::Values(1u, 2u, 0u), ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(Threads, DistributedVsSingleNode,
+                         ::testing::Values(1u, 2u, 0u));
 
 // ---------------------------------------------------------------------------
 // Relay liveness over live sources.

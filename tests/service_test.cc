@@ -6,8 +6,7 @@
 // between emit and checkpoint, between checkpoint and the next emit, with
 // a torn trailing block) and restarted over the same state directory ends
 // with an output log whose decoded jframe stream is byte-identical to the
-// uninterrupted run's — across threads {1, 2, auto} and the merge spill
-// tier on/off.  The kill points are injected with tests/fault_injection.h;
+// uninterrupted run's — across threads {1, 2, auto}.  The kill points are injected with tests/fault_injection.h;
 // nothing here sleeps or races a real signal.
 #include <gtest/gtest.h>
 
@@ -66,17 +65,13 @@ class ServiceTest : public ::testing::Test {
   }
 
   DeploymentConfig Cfg(const std::string& name, const fs::path& traces,
-                       unsigned threads = 1, bool spill = false) {
+                       unsigned threads = 1) {
     DeploymentConfig c;
     c.name = name;
     c.trace_dir = traces;
     c.state_dir = dir_ / ("state-" + name);
     c.expected_traces = kRadios;
     c.merge.threads = threads;
-    if (spill) {
-      c.merge.spill_dir = c.state_dir / "merge-spill";
-      c.merge.spill_threshold = 64;
-    }
     // Small segments/blocks so rotation, torn tails, and retention all
     // engage on a two-second synthetic capture (whole log ~10-20 KiB).
     c.output_segment_bytes = 4u << 10;
@@ -250,29 +245,24 @@ TEST_F(ServiceTest, LogMatchesDirectMerge) {
 // ---------------------------------------------------------------------------
 // Crash-recovery equivalence matrix.
 
-struct MatrixParam {
-  unsigned threads;
-  bool spill;
-};
-
 class ServiceRecoveryMatrix
     : public ServiceTest,
-      public ::testing::WithParamInterface<MatrixParam> {};
+      public ::testing::WithParamInterface<unsigned> {};
 
 // Killed mid output write at a fixed jframe index, restarted, run to
 // completion: the cumulative decoded log is byte-identical to the
-// uninterrupted run's, for every threads x spill combination.
+// uninterrupted run's, for every threads setting.
 TEST_P(ServiceRecoveryMatrix, KillDuringOutputWriteThenRestart) {
-  const auto [threads, spill] = GetParam();
+  const unsigned threads = GetParam();
   const fs::path traces = WriteTraces(42);
 
-  DeploymentConfig base = Cfg("base", traces, threads, spill);
+  DeploymentConfig base = Cfg("base", traces, threads);
   DeploymentMonitor baseline(base);
   RunToDone(baseline);
   const LogContents expect = ReadLog(base.state_dir);
   ASSERT_GT(expect.jframes.size(), 300u);
 
-  DeploymentConfig crash = Cfg("crash", traces, threads, spill);
+  DeploymentConfig crash = Cfg("crash", traces, threads);
   // Past the first block cut (16 records/block), so durable blocks and a
   // pending tail both exist at the kill.
   crash.hooks.after_output_append = KillAfterAppend(137);
@@ -281,7 +271,7 @@ TEST_P(ServiceRecoveryMatrix, KillDuringOutputWriteThenRestart) {
     RunUntilKilled(victim);
   }  // destructor abandons the open segment, as SIGKILL would
 
-  DeploymentConfig resume = Cfg("crash", traces, threads, spill);
+  DeploymentConfig resume = Cfg("crash", traces, threads);
   DeploymentMonitor restarted(resume);
   EXPECT_TRUE(restarted.recovered_from_checkpoint());
   RunToDone(restarted);
@@ -300,15 +290,15 @@ TEST_P(ServiceRecoveryMatrix, KillDuringOutputWriteThenRestart) {
 // table (jframes durable that no checkpoint mentions).  The restart must
 // derive the durable count from the log itself, not the stale table.
 TEST_P(ServiceRecoveryMatrix, KillBetweenEmitAndCheckpointThenRestart) {
-  const auto [threads, spill] = GetParam();
+  const unsigned threads = GetParam();
   const fs::path traces = WriteTraces(42);
 
-  DeploymentConfig base = Cfg("base", traces, threads, spill);
+  DeploymentConfig base = Cfg("base", traces, threads);
   DeploymentMonitor baseline(base);
   RunToDone(baseline);
   const LogContents expect = ReadLog(base.state_dir);
 
-  DeploymentConfig crash = Cfg("crash", traces, threads, spill);
+  DeploymentConfig crash = Cfg("crash", traces, threads);
   // Call #1 is the constructor's checkpoint; #2 is the first one that
   // follows appends — killing BEFORE it leaves every durable jframe
   // unmentioned by any checkpoint.
@@ -318,7 +308,7 @@ TEST_P(ServiceRecoveryMatrix, KillBetweenEmitAndCheckpointThenRestart) {
     RunUntilKilled(victim);
   }
 
-  DeploymentMonitor restarted(Cfg("crash", traces, threads, spill));
+  DeploymentMonitor restarted(Cfg("crash", traces, threads));
   EXPECT_TRUE(restarted.recovered_from_checkpoint());
   RunToDone(restarted);
 
@@ -331,22 +321,22 @@ TEST_P(ServiceRecoveryMatrix, KillBetweenEmitAndCheckpointThenRestart) {
 // new since.  Recovery must suppress exactly the durable count and
 // continue — re-emitting or dropping even one jframe breaks identity.
 TEST_P(ServiceRecoveryMatrix, KillBetweenCheckpointAndEmitThenRestart) {
-  const auto [threads, spill] = GetParam();
+  const unsigned threads = GetParam();
   const fs::path traces = WriteTraces(42);
 
-  DeploymentConfig base = Cfg("base", traces, threads, spill);
+  DeploymentConfig base = Cfg("base", traces, threads);
   DeploymentMonitor baseline(base);
   RunToDone(baseline);
   const LogContents expect = ReadLog(base.state_dir);
 
-  DeploymentConfig crash = Cfg("crash", traces, threads, spill);
+  DeploymentConfig crash = Cfg("crash", traces, threads);
   crash.hooks.after_checkpoint = KillOnNthCall("after checkpoint", 2);
   {
     DeploymentMonitor victim(crash);
     RunUntilKilled(victim);
   }
 
-  DeploymentMonitor restarted(Cfg("crash", traces, threads, spill));
+  DeploymentMonitor restarted(Cfg("crash", traces, threads));
   EXPECT_TRUE(restarted.recovered_from_checkpoint());
   RunToDone(restarted);
 
@@ -360,15 +350,15 @@ TEST_P(ServiceRecoveryMatrix, KillBetweenCheckpointAndEmitThenRestart) {
 // stop at the last complete block, repair the segment, and resume from
 // the reduced durable count — still byte-identical.
 TEST_P(ServiceRecoveryMatrix, TornOutputTailRepairedOnRestart) {
-  const auto [threads, spill] = GetParam();
+  const unsigned threads = GetParam();
   const fs::path traces = WriteTraces(42);
 
-  DeploymentConfig base = Cfg("base", traces, threads, spill);
+  DeploymentConfig base = Cfg("base", traces, threads);
   DeploymentMonitor baseline(base);
   RunToDone(baseline);
   const LogContents expect = ReadLog(base.state_dir);
 
-  DeploymentConfig crash = Cfg("crash", traces, threads, spill);
+  DeploymentConfig crash = Cfg("crash", traces, threads);
   crash.hooks.after_output_append = KillAfterAppend(137);
   {
     DeploymentMonitor victim(crash);
@@ -386,7 +376,7 @@ TEST_P(ServiceRecoveryMatrix, TornOutputTailRepairedOnRestart) {
   ASSERT_GT(fs::file_size(newest), 7u);
   TearFileTail(newest, 7);
 
-  DeploymentMonitor restarted(Cfg("crash", traces, threads, spill));
+  DeploymentMonitor restarted(Cfg("crash", traces, threads));
   EXPECT_TRUE(restarted.recovered_from_checkpoint());
   RunToDone(restarted);
 
@@ -395,20 +385,19 @@ TEST_P(ServiceRecoveryMatrix, TornOutputTailRepairedOnRestart) {
   testing::ExpectIdenticalStreams(got.jframes, expect.jframes);
 }
 
-// Killed while READING a trace (mid merge consumption — with the spill
-// dimension on, this lands amid spill-segment writes): the output writer
+// Killed while READING a trace (mid merge consumption): the output writer
 // is mid-stream with an uncut pending block.  Restart without the fault
 // completes the identical stream.
 TEST_P(ServiceRecoveryMatrix, KillDuringTraceReadThenRestart) {
-  const auto [threads, spill] = GetParam();
+  const unsigned threads = GetParam();
   const fs::path traces = WriteTraces(42);
 
-  DeploymentConfig base = Cfg("base", traces, threads, spill);
+  DeploymentConfig base = Cfg("base", traces, threads);
   DeploymentMonitor baseline(base);
   RunToDone(baseline);
   const LogContents expect = ReadLog(base.state_dir);
 
-  DeploymentConfig crash = Cfg("crash", traces, threads, spill);
+  DeploymentConfig crash = Cfg("crash", traces, threads);
   {
     // Radio 2 dies at record #100 of its ~160-record capture — the merge
     // is mid-consumption, the output writer mid-stream.
@@ -419,7 +408,7 @@ TEST_P(ServiceRecoveryMatrix, KillDuringTraceReadThenRestart) {
     RunUntilKilled(victim);
   }
 
-  DeploymentMonitor restarted(Cfg("crash", traces, threads, spill));
+  DeploymentMonitor restarted(Cfg("crash", traces, threads));
   EXPECT_TRUE(restarted.recovered_from_checkpoint());
   RunToDone(restarted);
 
@@ -429,13 +418,9 @@ TEST_P(ServiceRecoveryMatrix, KillDuringTraceReadThenRestart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsBySpill, ServiceRecoveryMatrix,
-    ::testing::Values(MatrixParam{1, false}, MatrixParam{2, false},
-                      MatrixParam{0, false}, MatrixParam{1, true},
-                      MatrixParam{2, true}, MatrixParam{0, true}),
-    [](const ::testing::TestParamInfo<MatrixParam>& info) {
-      return "threads" + std::to_string(info.param.threads) +
-             (info.param.spill ? "_spill" : "_nospill");
+    Threads, ServiceRecoveryMatrix, ::testing::Values(1u, 2u, 0u),
+    [](const ::testing::TestParamInfo<unsigned>& info) {
+      return "threads" + std::to_string(info.param);
     });
 
 // ---------------------------------------------------------------------------

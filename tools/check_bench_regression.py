@@ -10,16 +10,15 @@ Usage:
 `current.json` is raw Google Benchmark JSON output, e.g.:
 
   ./build/bench_merge_throughput \
-      '--benchmark_filter=BM_MergeParallel|BM_MergeSpill|BM_Bootstrap|BM_MergeDistributed' \
+      '--benchmark_filter=BM_MergeParallel|BM_Bootstrap|BM_MergeDistributed' \
       --benchmark_format=json > current.json
 
 The committed baseline (BENCH_merge.json at the repo root) is the
 normalized form: a `families` map of benchmark family -> its gate metric
-and one number per variant.  Each family names its own metric because
-the families measure different things (BM_MergeParallel and
-BM_Bootstrap report an events/s rate; BM_MergeSpill reports
-events_while_gated, the capture-side progress of one gated Poll).  All
-metrics are higher-is-better.
+and one number per variant.  Each family names its own metric, so a
+family that measures something other than a rate can join the gate;
+today every family gates on events/s.  All metrics are
+higher-is-better.
 
 The gate fails (exit 1) when any baseline variant's current value drops
 more than `--threshold` (default 15%) below its baseline, or when a
@@ -54,7 +53,6 @@ from pathlib import Path
 # existing baseline to preserve.
 DEFAULT_FAMILIES = {
     "BM_MergeParallel": "events/s",
-    "BM_MergeSpill": "events_while_gated",
     "BM_Bootstrap": "events/s",
     "BM_MergeDistributed": "events/s",
 }

@@ -2,8 +2,8 @@
 """Project-specific determinism linter for the emit/serialize layers.
 
 The pipeline's headline guarantee is byte-identical output across thread
-counts, spill modes, and live-vs-batch (docs/ARCHITECTURE.md, "Determinism
-contract").  The end-to-end equality tests enforce it empirically; this
+counts, live-vs-batch, topology and restart (docs/ARCHITECTURE.md,
+"Determinism contract").  The end-to-end equality tests enforce it empirically; this
 linter enforces the *source patterns* that historically break it:
 
   D001 unordered-iteration
