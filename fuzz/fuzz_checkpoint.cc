@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "jigsaw/service.h"
 #include "util/crc32.h"
@@ -57,5 +58,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   Load(data, size, /*append_crc=*/false);
   Load(data, size, /*append_crc=*/true);
+  std::error_code ec;  // the next input rewrites it; leave nothing behind
+  std::filesystem::remove(ScratchPath(), ec);
   return 0;
 }

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "jigsaw/spill.h"
 
@@ -51,5 +52,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   Drive(path, /*strict=*/true);
   Drive(path, /*strict=*/false);
+  std::error_code ec;  // the next input rewrites it; leave nothing behind
+  std::filesystem::remove(path, ec);
   return 0;
 }

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "trace/trace_file.h"
 
@@ -20,8 +21,7 @@
 
 namespace {
 
-// One scratch file per process, rewritten per input.  Unlinked lazily; the
-// OS reclaims it if the process aborts.
+// One scratch file per process, rewritten per input and removed after it.
 const std::filesystem::path& ScratchPath() {
   static const std::filesystem::path path = [] {
     auto p = std::filesystem::temp_directory_path() /
@@ -52,5 +52,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
             static_cast<std::streamsize>(size));
   }
   Drive(path);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
   return 0;
 }

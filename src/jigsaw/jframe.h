@@ -71,17 +71,18 @@ struct JFrame {
 };
 
 // Bounded freelist of jframes for the merge hot path: the unifier acquires,
-// the emit funnel recycles the carcass once the consumer
-// has taken what it wants, and steady-state emission stops allocating.
+// the merge recycles the carcass once the consumer has taken what it
+// wants, and steady-state emission stops allocating.
 //
 // Deliberately unsynchronized.  Within a MergeSession each shard owns one
-// pool, and the existing round barrier already serializes worker-phase
-// accesses (unifier Acquire) against merge-phase
-// accesses (emit Recycle) — the same happens-before discipline that
-// protects the shard queues themselves.
+// pool.  The unifier acquires while a round steps the shard.  With a
+// worker pool the merge runs concurrently with that round, so it only
+// parks carcasses in a list of its own, and the round hand-off (no round
+// in flight, under the pool mutex) recycles them into the pool — the same
+// happens-before that moves the shard's output to the merge.
 class JFramePool {
  public:
-  explicit JFramePool(std::size_t max_pooled = 4096)
+  explicit JFramePool(std::size_t max_pooled)
       : max_pooled_(max_pooled) {}
 
   JFrame Acquire() {

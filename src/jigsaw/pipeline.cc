@@ -88,6 +88,13 @@ Micros EffectiveHorizon(const MergeConfig& config) {
 }
 
 constexpr std::size_t kUnifyStep = 1024;  // groups per pooled-round slice
+// Most a pooled round adds to one shard: the workers fill one half of the
+// watermark while the merge drains the other.
+constexpr std::size_t kRoundBudget = kMergeQueueWatermark / 2;
+// Deliveries after which the merge hands off as soon as the workers are
+// done rather than draining until gated; large enough that starting a
+// round stays cheap next to the work in it.
+constexpr std::size_t kEarlyHandOff = kMergeQueueWatermark / 4;
 // Groups per inline pull slice: small, so a cold start emits after a few
 // dozen groups instead of after unifying the whole available prefix.
 constexpr std::size_t kPullStep = 32;
@@ -116,7 +123,8 @@ struct PipelineMetrics {
       "High-watermark of any single shard queue depth");
   obs::Histogram& round_wait_us = obs::MetricRegistry::Global().GetHistogram(
       "jig_shard_round_wait_us", obs::LatencyBucketsUs(),
-      "Poll-thread wait at the round barrier (pool mode only)");
+      "Poll-thread wait to join the round in flight, nonzero only while the "
+      "k-way merge is gated (pool mode only)");
   obs::Counter& emitted = obs::MetricRegistry::Global().GetCounter(
       "jig_merge_jframes_emitted_total",
       "JFrames emitted by the k-way merge");
@@ -159,27 +167,47 @@ void ValidateMergeConfig(const MergeConfig& config) {
 // ---------------------------------------------------------------------------
 // MergeSession.
 //
-// The merge runs in rounds over per-channel shards.  With a worker pool,
-// a round steps every shard's unifier (each bounded by the queue
-// watermark) and a barrier joins it; with one worker (threads == 1, or a
-// single shard), a round runs inline on the Poll() thread and steps only
-// the shards gating the merge.  After each round the Poll() thread k-way
-// merges the shard queues as far as every shard has either a head or a
-// final end-of-stream, so the emitted order does not depend on how the
-// shards were stepped.  Between rounds the workers are idle, which is what
-// makes the session resumable: Poll() simply stops scheduling rounds once
-// no shard can advance.
+// The merge runs in rounds over per-channel shards.  Each shard has two
+// buffers: `out`, which its reorder buffer fills while a round steps the
+// unifier, and `queue`, which the Poll() thread's k-way merge drains.  The
+// Poll() thread k-way merges the queues as far as every shard has either a
+// head or a final end-of-stream, so the emitted order does not depend on
+// how or when the shards were stepped.
+//
+// With one worker (threads == 1, or a single shard), a round runs inline
+// on the Poll() thread, steps only the shards gating the merge, and hands
+// off before the merge.  With a worker pool the rounds overlap the merge:
+// the Poll() thread starts round r+1, merges and delivers round r's output
+// while the workers step, and joins the round once the merge is gated (the
+// only time it blocks) or once the workers are done and it has delivered
+// kEarlyHandOff jframes.  Then it hands off and starts the next round.
+//
+// The hand-off is the memory model.  With no round in flight, the Poll()
+// thread splices each `out` into its `queue`, publishes end-of-stream,
+// recycles the delivered carcasses into the shard's pool and sets the next
+// round's budget.  Nothing else crosses between the threads, so the
+// per-shard structures need no locks.
+//
+// Poll() never returns, nor throws, with a round in flight: the streams
+// are read only inside Poll(), and the session is resumable because
+// Poll() simply stops scheduling rounds once no shard can advance.
 
 struct MergeSession::Impl {
   struct LiveShard {
-    std::deque<JFrame> queue;  // ordered output awaiting the k-way merge
+    // Stepping side: touched by the round that steps this shard.
+    std::deque<JFrame> out;  // reorder output since the last hand-off
     std::unique_ptr<ReorderBuffer> reorder;
     std::unique_ptr<Unifier> unifier;
-    bool exhausted = false;  // unifier done and reorder flushed
-    // Arena: the unifier acquires, the emit path recycles.
-    // Worker-phase and merge-phase accesses are serialized by the round
-    // barrier — see JFramePool.
-    JFramePool pool;
+    bool flushed = false;     // unifier done and reorder flushed
+    std::size_t budget = 0;   // jframes this round may add to `out`
+    // The unifier acquires.  A round takes about kRoundBudget at most, so
+    // a bigger pool would only park carcasses, frame bodies and all, that
+    // no round can use.
+    JFramePool pool{kRoundBudget};
+    // Merge side: touched only by the Poll() thread.
+    std::deque<JFrame> queue;     // ordered output awaiting the k-way merge
+    bool exhausted = false;       // `flushed` as of the last hand-off
+    std::vector<JFrame> returned;  // carcasses parked until the hand-off
   };
 
   TraceSet& traces;
@@ -203,13 +231,17 @@ struct MergeSession::Impl {
   std::vector<std::unique_ptr<LiveShard>> live;
   unsigned workers = 1;
 
-  // Round-barrier worker pool (only when workers > 1).
+  // Worker pool (only when workers > 1).  A round is in flight from
+  // StartRound until FinishRound or AwaitRound sees `remaining` reach 0.
   std::vector<std::thread> pool;
   std::mutex pool_mu;
   std::condition_variable start_cv;
   std::condition_variable done_cv;
   std::uint64_t generation = 0;
-  std::size_t remaining = 0;
+  // Workers still stepping the round in flight.  Written under pool_mu;
+  // atomic only so the merge can read it between deliveries, as a hint:
+  // FinishRound still joins under the mutex.
+  std::atomic<std::size_t> remaining{0};
   bool shutdown = false;
   bool round_progress = false;
   std::vector<std::exception_ptr> round_errors;
@@ -330,10 +362,10 @@ struct MergeSession::Impl {
     live.reserve(shards.size());
     for (std::size_t s = 0; s < shards.size(); ++s) {
       auto ls = std::make_unique<LiveShard>();
-      std::deque<JFrame>* queue = &ls->queue;
+      std::deque<JFrame>* out = &ls->out;
       ls->reorder = std::make_unique<ReorderBuffer>(
           EffectiveHorizon(config),
-          [queue](JFrame&& jf) { queue->push_back(std::move(jf)); });
+          [out](JFrame&& jf) { out->push_back(std::move(jf)); });
       ReorderBuffer* reorder = ls->reorder.get();
       ls->unifier = std::make_unique<Unifier>(
           shards[s].traces, bootstrap.Slice(shards[s].source_index),
@@ -352,6 +384,7 @@ struct MergeSession::Impl {
         shard.traces.at(i).EndRewinds();
       }
     }
+    HandOff();  // sets the first round's budgets
     workers = ResolveWorkers(config.threads, shards.size());
     if (workers > 1) StartPool();
   }
@@ -359,25 +392,25 @@ struct MergeSession::Impl {
   // ---- worker rounds ------------------------------------------------------
 
   // Steps one shard, `slice` groups at a time, until it starves, exhausts,
-  // or its queue holds `queue_cap` jframes.  Returns true if anything was
+  // or its `out` holds `cap` jframes.  Returns true if anything was
   // consumed or produced.
-  bool StepShard(LiveShard& ls, std::size_t slice, std::size_t queue_cap) {
-    if (ls.exhausted) return false;
+  bool StepShard(LiveShard& ls, std::size_t slice, std::size_t cap) {
+    if (ls.flushed) return false;
     // Metrics ride the stats deltas of the whole call — one pair of
     // counter adds per StepShard, nothing per event.
     const std::uint64_t events_at_entry = ls.unifier->stats().events_in;
     const std::uint64_t jframes_at_entry = ls.unifier->stats().jframes;
     bool progress = false;
-    while (ls.queue.size() < queue_cap) {
+    while (ls.out.size() < cap) {
       const std::uint64_t before = ls.unifier->stats().events_in;
-      const std::size_t queued = ls.queue.size();
+      const std::size_t queued = ls.out.size();
       const UnifyStep step = ls.unifier->Step(slice);
       progress = progress || ls.unifier->stats().events_in != before ||
-                 ls.queue.size() != queued;
+                 ls.out.size() != queued;
       if (step == UnifyStep::kStarved) break;
       if (step == UnifyStep::kExhausted) {
         ls.reorder->Flush();
-        ls.exhausted = true;
+        ls.flushed = true;
         progress = true;
         break;
       }
@@ -387,7 +420,6 @@ struct MergeSession::Impl {
       const UnifyStats& after = ls.unifier->stats();
       m.shard_events.Add(after.events_in - events_at_entry);
       m.shard_jframes.Add(after.jframes - jframes_at_entry);
-      m.queue_peak.UpdateMax(static_cast<std::int64_t>(ls.queue.size()));
     }
     return progress;
   }
@@ -395,8 +427,8 @@ struct MergeSession::Impl {
   bool WorkerRound(unsigned w) {
     bool progress = false;
     for (std::size_t s = w; s < live.size(); s += workers) {
-      progress = StepShard(*live[s], kUnifyStep, kMergeQueueWatermark) ||
-                 progress;
+      LiveShard& ls = *live[s];
+      progress = StepShard(ls, kUnifyStep, ls.budget) || progress;
     }
     return progress;
   }
@@ -443,35 +475,76 @@ struct MergeSession::Impl {
     pool.clear();
   }
 
-  // Runs one round; returns whether any shard progressed.  The pooled
-  // round steps every shard up to the watermark.  The inline round pulls:
-  // it steps only the shards that gate the merge (not exhausted, nothing
-  // consumable), each just until a head appears or it starves.
-  bool RunRound() {
+  // The inline round pulls: it steps only the shards that gate the merge
+  // (not exhausted, nothing consumable), each just until a head appears or
+  // it starves, then hands off.  Returns whether any shard progressed.
+  bool PullRound() {
     Metrics().rounds.Add(1);
-    if (pool.empty()) {
-      bool progress = false;
-      for (auto& ls : live) {
-        if (ls->exhausted || !ls->queue.empty()) continue;
-        progress = StepShard(*ls, kPullStep, 1) || progress;
-      }
-      return progress;
+    bool progress = false;
+    for (auto& ls : live) {
+      if (ls->exhausted || !ls->queue.empty()) continue;
+      progress = StepShard(*ls, kPullStep, 1) || progress;
     }
-    std::unique_lock lk(pool_mu);
-    round_progress = false;
-    remaining = pool.size();
-    ++generation;
-    start_cv.notify_all();
+    HandOff();
+    return progress;
+  }
+
+  // The pooled round steps every shard up to its budget on the workers.
+  void StartRound() {
+    Metrics().rounds.Add(1);
     {
-      obs::StageTimer wait_timer(Metrics().round_wait_us);
-      done_cv.wait(lk, [&] { return remaining == 0; });
+      std::lock_guard lk(pool_mu);
+      round_progress = false;
+      remaining = pool.size();
+      ++generation;
     }
+    start_cv.notify_all();
+  }
+
+  void AwaitRound(std::unique_lock<std::mutex>& lk) {
+    obs::StageTimer wait_timer(Metrics().round_wait_us);
+    done_cv.wait(lk, [&] { return remaining == 0; });
+  }
+
+  // Joins the round in flight, rethrows a worker's error, and hands off.
+  // Returns whether any shard progressed.
+  bool FinishRound() {
+    std::unique_lock lk(pool_mu);
+    AwaitRound(lk);
     if (!round_errors.empty()) {
       const auto error = round_errors.front();
       round_errors.clear();
       std::rethrow_exception(error);
     }
+    HandOff();
     return round_progress;
+  }
+
+  // With no round in flight: moves every shard's new output behind its
+  // merge queue, publishes end-of-stream, pools the delivered carcasses
+  // and sets the next round's budget.  The budget keeps queue + out within
+  // kMergeQueueWatermark (plus one step's overshoot), the per-shard
+  // retention bound, and at most kRoundBudget.
+  void HandOff() {
+    for (auto& ls : live) {
+      if (ls->queue.empty()) {
+        ls->queue.swap(ls->out);
+      } else {
+        for (JFrame& jf : ls->out) ls->queue.push_back(std::move(jf));
+        ls->out.clear();
+      }
+      ls->exhausted = ls->flushed;
+      for (JFrame& jf : ls->returned) ls->pool.Recycle(std::move(jf));
+      ls->returned.clear();
+      const std::size_t queued =
+          std::min(ls->queue.size(), kMergeQueueWatermark);
+      ls->budget = std::min(kMergeQueueWatermark - queued, kRoundBudget);
+      if (obs::Enabled()) {
+        Metrics().queue_peak.UpdateMax(
+            static_cast<std::int64_t>(ls->queue.size()));
+      }
+    }
+    ObserveRetention();
   }
 
   // ---- consumer merge -----------------------------------------------------
@@ -480,7 +553,10 @@ struct MergeSession::Impl {
   // the batch k-way merge: correctness needs a head (or final
   // end-of-stream) from every shard before each emission, so a starved
   // shard with nothing consumable gates the stream — the watermark stall.
-  std::size_t MergeQueues() {
+  // Returns once gated, or early once it has delivered `yield_after`
+  // jframes and the round in flight has finished: the hand-off then comes
+  // as soon as the workers are idle, not only once the merge runs dry.
+  std::size_t MergeQueues(std::size_t yield_after) {
     std::size_t merged = 0;
     const std::size_t n = live.size();
     for (;;) {
@@ -503,20 +579,27 @@ struct MergeSession::Impl {
         }
       }
       if (gated || best == n) return merged;
+      if (merged >= yield_after && remaining.load() == 0) return merged;
       JFrame jf = std::move(live[best]->queue.front());
       live[best]->queue.pop_front();
       ++merged;
       Emit(std::move(jf));  // user code runs on the Poll() thread
-      // Recycle what the sink left behind into the source shard's pool
-      // (merge phase: the barrier orders this vs. that shard's worker).
-      live[best]->pool.Recycle(std::move(jf));
+      // Recycle what the sink left behind into the source shard's pool.
+      // With a worker pool that shard may be stepping right now, so park
+      // it instead: the next hand-off recycles it.
+      LiveShard& src = *live[best];
+      if (pool.empty()) {
+        src.pool.Recycle(std::move(jf));
+      } else {
+        src.returned.push_back(std::move(jf));
+      }
     }
   }
 
   std::size_t Retained() const {
     std::size_t total = 0;
     for (const auto& ls : live) {
-      total += ls->queue.size() + ls->reorder->size();
+      total += ls->queue.size() + ls->out.size() + ls->reorder->size();
     }
     return total;
   }
@@ -528,7 +611,7 @@ struct MergeSession::Impl {
 
   // Folds the pools' own counters into the registry (gauge for parked
   // carcasses, delta-tracked counter for lifetime recycles).  Runs on the
-  // Poll() thread between rounds, so reading the shard pools is safe.
+  // Poll() thread with no round in flight, so reading the pools is safe.
   void PublishArenaMetrics() {
     if (!obs::Enabled()) return;
     std::uint64_t pooled = 0;
@@ -552,10 +635,24 @@ struct MergeSession::Impl {
     if (done) return Status::kDone;
     if (!bootstrapped && !TryBootstrap()) return Status::kBootstrapping;
     for (;;) {
-      const bool stepped = RunRound();
-      ObserveRetention();
-      const bool merged = MergeQueues() > 0;
-      if (!stepped && !merged) break;
+      bool stepped = false;
+      std::size_t merged = 0;
+      if (pool.empty()) {
+        stepped = PullRound();
+        merged = MergeQueues(std::numeric_limits<std::size_t>::max());
+      } else {
+        // Round r+1 steps while this thread delivers round r's output.
+        StartRound();
+        try {
+          merged = MergeQueues(kEarlyHandOff);
+        } catch (...) {
+          std::unique_lock lk(pool_mu);
+          AwaitRound(lk);  // no round outlives Poll(), not even on a throw
+          throw;
+        }
+        stepped = FinishRound();
+      }
+      if (!stepped && merged == 0) break;
     }
     for (const auto& ls : live) {
       if (!ls->exhausted || !ls->queue.empty()) {

@@ -85,11 +85,12 @@ MergeStreamStats MergeTracesStreaming(TraceSet& traces,
                                       const MergeConfig& config,
                                       std::function<void(JFrame&&)> sink);
 
-// Per-shard buffering bound of the pooled rounds: a shard whose output
-// queue holds this many jframes stops unifying until the consumer drains
-// it, so retention stays bounded even when one radio lags far behind the
-// rest (the lagging shard gates emission; the others throttle here, their
-// unread records waiting in the trace files or socket queues).
+// Per-shard buffering bound of the pooled rounds: a shard's merge queue
+// plus the output of the round in flight stay within this many jframes
+// (each round's budget is set at the hand-off from what the merge has not
+// yet taken), so retention stays bounded even when one radio lags far
+// behind the rest (the lagging shard gates emission; the others throttle
+// here, their unread records waiting in the trace files or socket queues).
 inline constexpr std::size_t kMergeQueueWatermark = 4096;
 
 // Lag between a captured frontier and an emitted timestamp, clamped at
@@ -123,6 +124,10 @@ constexpr std::int64_t ClampedLagUs(std::int64_t capture_frontier_us,
 //     (finished) inputs for every `threads` setting.
 //
 // The sink runs on the Poll()-calling thread in every threading mode.
+// With a worker pool it runs while the workers unify the next round, so
+// it must not read the streams or call stats() / retained_jframes(); read
+// those between polls.  Poll() returns, or throws, only once no worker is
+// running: between polls the caller owns the streams again.
 class MergeSession {
  public:
   enum class Status { kBootstrapping, kStarved, kDone };

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -455,9 +456,13 @@ TEST(SocketTraceTest, LatchedBacklogHoldsOnlyWhatIsStillToConsume) {
 class DistributedTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // A parameterized test's name holds a '/', which would nest the
+    // scratch directory one level below a parent TearDown never removes.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = fs::temp_directory_path() /
-           ("distributed_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("distributed_" + std::to_string(::getpid()) + "_" + name);
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

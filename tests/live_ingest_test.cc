@@ -10,9 +10,15 @@
 // the tail reader (clean errors, never a spin or a misread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,9 +115,13 @@ MergeResult BatchMerge(const fs::path& dir) {
 class LiveIngestTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // A parameterized test's name holds a '/', which would nest the
+    // scratch directory one level below a parent TearDown never removes.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = fs::temp_directory_path() /
-           ("live_ingest_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("live_ingest_" + std::to_string(::getpid()) + "_" + name);
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -290,6 +300,100 @@ TEST_F(LiveIngestTest, EarlyFinalizingRadioReleasesWatermark) {
   ASSERT_GT(batch.jframes.size(), 100u);
   ExpectIdenticalStreams(streamed, batch.jframes);
   ExpectEqualStats(session.stats(), batch.stats);
+}
+
+// Counts every call into the stream it wraps.  The counter is atomic so a
+// stray read from a worker is a failed assertion here, not a data race.
+class CountingStream final : public RecordStream {
+ public:
+  CountingStream(std::unique_ptr<RecordStream> inner,
+                 std::atomic<std::uint64_t>& calls)
+      : inner_(std::move(inner)), calls_(&calls) {}
+
+  const TraceHeader& header() const override { return inner_->header(); }
+  std::optional<CaptureRecord> Next() override {
+    ++*calls_;
+    return inner_->Next();
+  }
+  const CaptureRecord* NextRef() override {
+    ++*calls_;
+    return inner_->NextRef();
+  }
+  void Rewind() override {
+    ++*calls_;
+    inner_->Rewind();
+  }
+  void EndRewinds() override {
+    ++*calls_;
+    inner_->EndRewinds();
+  }
+  bool Finalized() const override {
+    ++*calls_;
+    return inner_->Finalized();
+  }
+
+ private:
+  std::unique_ptr<RecordStream> inner_;
+  std::atomic<std::uint64_t>* calls_;
+};
+
+// Between polls the caller owns the streams: the service reads its
+// FrontierTrace frontiers and writes checkpoints there, and a failed poll
+// may be followed by a restart over the same files.  So no worker may read
+// a stream after Poll() returns, nor after a sink exception propagates out
+// of it — with a worker pool stepping the next round while the Poll()
+// thread delivers, Poll() must join that round first.
+TEST_F(LiveIngestTest, NoStreamIsReadOutsidePoll) {
+  // Long enough that a round still has unifying to do when the sink runs.
+  auto script =
+      LiveScript::FromNetwork(MultiChannelNetwork(41, Seconds(60)).Build());
+  const std::size_t n = script.size();
+  TraceSetWriter writer(dir_);
+  for (std::size_t i = 0; i < n; ++i) writer.AddRadio(script.headers[i]);
+  std::vector<std::size_t> cursor(n, 0);
+  AppendFractions(writer, script, cursor, std::vector<double>(n, 0.1));
+
+  std::atomic<std::uint64_t> calls{0};
+  TraceSet traces;
+  for (auto& stream : TraceSet::ScanFollowedDirectory(dir_, n)) {
+    traces.Add(std::make_unique<CountingStream>(std::move(stream), calls));
+  }
+  ASSERT_EQ(traces.size(), n);
+  MergeConfig cfg;
+  cfg.threads = 2;
+  bool throw_armed = false;
+  std::size_t delivered = 0;
+  MergeSession session(traces, cfg, [&](JFrame&&) {
+    if (throw_armed) throw std::runtime_error("sink");
+    ++delivered;
+  });
+
+  // Polls, then checks that nothing reads while the writer appends.
+  const auto quiet_between_polls = [&](double fraction) {
+    const std::uint64_t at_return = calls.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    AppendFractions(writer, script, cursor,
+                    std::vector<double>(n, fraction));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(calls.load(), at_return)
+        << "a stream was read between Poll() calls";
+  };
+  for (double fraction : {0.15, 0.2, 0.25, 0.3}) {
+    ASSERT_NE(session.Poll(), MergeSession::Status::kDone);
+    quiet_between_polls(fraction);
+  }
+  ASSERT_GT(delivered, 0u);
+
+  // Most of the capture lands at once, so the poll runs several full
+  // rounds; its first delivery throws while the workers step the next.
+  AppendFractions(writer, script, cursor, std::vector<double>(n, 1.0));
+  writer.FinalizeAll();
+  throw_armed = true;
+  EXPECT_THROW(session.Poll(), std::runtime_error);
+  const std::uint64_t at_throw = calls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(calls.load(), at_throw)
+      << "a stream was read after the sink exception propagated";
 }
 
 // A radio "joins" late: its file exists (header only) but carries no data

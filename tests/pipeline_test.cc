@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "jframe_equality.h"
 #include "reference_merge.h"
@@ -274,6 +276,42 @@ TEST(ParallelMerge, SinkRunsOnCallingThread) {
   });
   EXPECT_GT(delivered, 100u);
   EXPECT_TRUE(all_on_caller);
+}
+
+// A sink slower than the unifiers: the workers step round r+1 while the
+// Poll() thread is still delivering round r, so every hand-off meets a
+// half-drained merge queue.  The stream must not notice, and the workers
+// must still stop at the per-shard watermark instead of running ahead.
+TEST(ParallelMerge, SlowSinkOverlappedRoundsStayByteIdentical) {
+  // Long enough that each of the three shards passes the watermark a few
+  // times over, so the bound below could be broken.
+  auto base_traces = MultiChannelNetwork(5, Seconds(180)).Build();
+  const auto base = ReferenceMerge(base_traces);
+  constexpr std::size_t kShards = 3;
+  // Reorder depth plus one unify step's overshoot past the budget.
+  constexpr std::size_t kSlack = 2048;
+  ASSERT_GT(base.jframes.size(),
+            2 * kShards * (kMergeQueueWatermark + kSlack));
+
+  for (unsigned threads : {2u, 3u, 0u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto traces = MultiChannelNetwork(5, Seconds(180)).Build();
+    MergeConfig cfg;
+    cfg.threads = threads;
+    std::vector<JFrame> streamed;
+    MergeSession session(traces, cfg, [&](JFrame&& jf) {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      streamed.push_back(std::move(jf));
+    });
+    ASSERT_EQ(session.Poll(), MergeSession::Status::kDone);
+    ExpectIdenticalStreams(base.jframes, streamed);
+    ExpectEqualStats(base.stats, session.stats());
+    EXPECT_LE(session.peak_retained_jframes(),
+              kShards * (kMergeQueueWatermark + kSlack));
+  }
 }
 
 TEST(ParallelMerge, SinkExceptionPropagatesAndAbortsWorkers) {

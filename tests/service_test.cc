@@ -47,9 +47,13 @@ constexpr int kMaxRounds = 200000;  // progress guard, not a timing knob
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // A parameterized test's name holds a '/', which would nest the
+    // scratch directory one level below a parent TearDown never removes.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = fs::temp_directory_path() /
-           ("service_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("service_" + std::to_string(::getpid()) + "_" + name);
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
