@@ -131,137 +131,113 @@ namespace {
 
 using namespace jig;
 
-int CmdDemo(const char* dir) {
+// The simulated capture behind demo and demo-live.
+TraceSet SimulateDemo(long seconds) {
   ScenarioConfig config;
   config.seed = 10;
-  config.duration = Seconds(10);
+  config.duration = Seconds(seconds);
   config.clients = 20;
   Scenario scenario(config);
   scenario.Run();
-  TraceSet traces = scenario.TakeTraces();
+  return scenario.TakeTraces();
+}
+
+int CmdDemo(const char* dir) {
+  TraceSet traces = SimulateDemo(10);
   const auto paths = traces.WriteDirectory(dir);
   std::printf("wrote %zu traces to %s\n", paths.size(), dir);
   return 0;
 }
 
-// Replays a simulated capture as a live writer: the traces are appended in
-// capture-time chunks with a Sync (block cut + flush) after each, so a
-// concurrent `jigtool serve` sees the files grow; every trace is finalized
-// at the end.
-int CmdDemoLive(const char* dir, long seconds, long chunk_wall_ms) {
-  ScenarioConfig config;
-  config.seed = 10;
-  config.duration = Seconds(seconds);
-  config.clients = 20;
-  Scenario scenario(config);
-  scenario.Run();
-  TraceSet traces = scenario.TakeTraces();
+constexpr int kLiveChunks = 20;
 
-  TraceSetWriter writer(dir);
+// Replays a simulated capture as a live writer: every radio's records are
+// appended in capture-time chunks with a Sync (block cut + publish) after
+// each, so a concurrent reader sees the capture grow.  writers[i] is radio
+// i's door — a TraceFileWriter or a SocketTraceWriter (Append, Sync,
+// Finish).
+template <typename Writer>
+void ReplayLive(TraceSet& traces, long seconds, long chunk_wall_ms,
+                const std::vector<std::unique_ptr<Writer>>& writers) {
   std::vector<const std::vector<CaptureRecord>*> records;
-  std::vector<std::size_t> cursor(traces.size(), 0);
   std::vector<LocalMicros> first_ts(traces.size(), 0);
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    auto& mem = dynamic_cast<MemoryTrace&>(traces.at(i));
-    writer.AddRadio(mem.header());
-    records.push_back(&mem.records());
-    if (!mem.records().empty()) first_ts[i] = mem.records().front().timestamp;
+    records.push_back(&dynamic_cast<MemoryTrace&>(traces.at(i)).records());
+    if (!records[i]->empty()) first_ts[i] = records[i]->front().timestamp;
   }
   // Chunk in capture time relative to each radio's own first record (local
-  // clock bases differ per monitor), so every radio's file grows in
+  // clock bases differ per monitor), so every radio's capture grows in
   // lockstep — the way real captures do.
-  constexpr int kChunks = 20;
-  const Micros chunk_span = config.duration / kChunks;
-  std::printf("live-writing %zu traces to %s in %d chunks (%ld ms apart)\n",
-              traces.size(), dir, kChunks, chunk_wall_ms);
+  const Micros chunk_span = Seconds(seconds) / kLiveChunks;
+  std::vector<std::size_t> cursor(traces.size(), 0);
+  std::vector<bool> finished(traces.size(), false);
   for (int chunk = 1;; ++chunk) {
     bool any_left = false;
     for (std::size_t i = 0; i < traces.size(); ++i) {
+      if (finished[i]) continue;
       const auto& recs = *records[i];
       const auto end =
           static_cast<LocalMicros>(first_ts[i] + chunk * chunk_span);
       while (cursor[i] < recs.size() && recs[cursor[i]].timestamp < end) {
-        writer.Append(i, recs[cursor[i]++]);
+        writers[i]->Append(recs[cursor[i]++]);
       }
-      any_left = any_left || cursor[i] < recs.size();
+      writers[i]->Sync();
+      // A radio with nothing more to say finishes at once — like a capture
+      // daemon shutting down — so a quiet radio never stalls the
+      // followers' bootstrap or merge watermark for the whole session.
+      if (cursor[i] < recs.size()) {
+        any_left = true;
+      } else {
+        writers[i]->Finish();
+        finished[i] = true;
+      }
     }
-    writer.Sync();
-    // A radio with nothing more to say finalizes immediately — like a
-    // capture daemon shutting down — so a quiet radio never stalls the
-    // followers' bootstrap or merge watermark for the whole session.
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (cursor[i] >= records[i]->size()) writer.Finalize(i);
-    }
-    if (!any_left) break;
+    if (!any_left) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(chunk_wall_ms));
   }
-  writer.FinalizeAll();
-  std::printf("finalized %zu traces\n", writer.size());
+}
+
+// demo-live: the simulated radios write growing r<id>.jigt files for a
+// concurrent `jigtool serve`.
+int CmdDemoLive(const char* dir, long seconds, long chunk_wall_ms) {
+  TraceSet traces = SimulateDemo(seconds);
+  std::filesystem::create_directories(dir);
+  std::vector<std::unique_ptr<TraceFileWriter>> writers;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const TraceHeader& header = traces.at(i).header();
+    writers.push_back(std::make_unique<TraceFileWriter>(
+        std::filesystem::path(dir) /
+            ("r" + std::to_string(header.radio) + ".jigt"),
+        header));
+  }
+  std::printf("live-writing %zu traces to %s in %d chunks (%ld ms apart)\n",
+              traces.size(), dir, kLiveChunks, chunk_wall_ms);
+  ReplayLive(traces, seconds, chunk_wall_ms, writers);
+  std::printf("finalized %zu traces\n", writers.size());
   return 0;
 }
 
 // demo-live over TCP: the simulated radios each connect to a collector
-// and stream their capture in capture-time chunks — the network twin of
-// the file-based demo-live above.
+// and stream their capture instead — the network twin of the file door.
 int CmdDemoLiveTcp(long seconds, long chunk_wall_ms, long tcp_port) {
-  ScenarioConfig config;
-  config.seed = 10;
-  config.duration = Seconds(seconds);
-  config.clients = 20;
-  Scenario scenario(config);
-  scenario.Run();
-  TraceSet traces = scenario.TakeTraces();
-
+  TraceSet traces = SimulateDemo(seconds);
   std::vector<std::unique_ptr<SocketTraceWriter>> uplinks;
-  std::vector<const std::vector<CaptureRecord>*> records;
-  std::vector<std::size_t> cursor(traces.size(), 0);
-  std::vector<LocalMicros> first_ts(traces.size(), 0);
   try {
     for (std::size_t i = 0; i < traces.size(); ++i) {
-      auto& mem = dynamic_cast<MemoryTrace&>(traces.at(i));
       uplinks.push_back(std::make_unique<SocketTraceWriter>(
           net::ConnectTo("127.0.0.1", static_cast<std::uint16_t>(tcp_port)),
-          mem.header()));
-      records.push_back(&mem.records());
-      if (!mem.records().empty()) {
-        first_ts[i] = mem.records().front().timestamp;
-      }
+          traces.at(i).header()));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot reach collector on port %ld: %s\n",
                  tcp_port, e.what());
     return 1;
   }
-  constexpr int kChunks = 20;
-  const Micros chunk_span = config.duration / kChunks;
   std::printf("live-streaming %zu traces to 127.0.0.1:%ld in %d chunks "
               "(%ld ms apart)\n",
-              traces.size(), tcp_port, kChunks, chunk_wall_ms);
-  std::vector<bool> finished(traces.size(), false);
-  for (int chunk = 1;; ++chunk) {
-    bool any_left = false;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      const auto& recs = *records[i];
-      const auto end =
-          static_cast<LocalMicros>(first_ts[i] + chunk * chunk_span);
-      while (cursor[i] < recs.size() && recs[cursor[i]].timestamp < end) {
-        uplinks[i]->Append(recs[cursor[i]++]);
-      }
-      any_left = any_left || cursor[i] < recs.size();
-    }
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      uplinks[i]->Sync();
-      // Same early-finalize behavior as the file writer: a radio with
-      // nothing more to say ends its stream immediately.
-      if (!finished[i] && cursor[i] >= records[i]->size()) {
-        uplinks[i]->Finish();
-        finished[i] = true;
-      }
-    }
-    if (!any_left) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(chunk_wall_ms));
-  }
-  std::printf("finalized %zu streams\n", traces.size());
+              traces.size(), tcp_port, kLiveChunks, chunk_wall_ms);
+  ReplayLive(traces, seconds, chunk_wall_ms, uplinks);
+  std::printf("finalized %zu streams\n", uplinks.size());
   return 0;
 }
 

@@ -244,7 +244,6 @@ class LinkConsumer final : public JFrameConsumer {
   }
   // Peak number of jframes buffered at once — the O(window) memory bound.
   std::size_t peak_window_jframes() const { return peak_window_; }
-  std::size_t window_jframes() const { return window_.size(); }
 
  private:
   void Dispatch(const FrameExchange& ex) {

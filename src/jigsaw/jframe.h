@@ -54,58 +54,6 @@ struct JFrame {
   UniversalMicros EndTime() const {
     return timestamp + TxDurationMicros(rate, wire_len);
   }
-
-  // Returns all fields to default-constructed values while keeping the
-  // instances and frame-body heap allocations, so a pooled jframe can be
-  // rebuilt without reallocating.
-  void Reset() {
-    timestamp = 0;
-    dispersion = 0;
-    frame.Reset();
-    channel = Channel::kCh1;
-    rate = PhyRate::kB1;
-    wire_len = 0;
-    digest = 0;
-    instances.clear();
-  }
-};
-
-// Bounded freelist of jframes for the merge hot path: the unifier acquires,
-// the merge recycles the carcass once the consumer has taken what it
-// wants, and steady-state emission stops allocating.
-//
-// Deliberately unsynchronized.  Within a MergeSession each shard owns one
-// pool.  The unifier acquires while a round steps the shard.  With a
-// worker pool the merge runs concurrently with that round, so it only
-// parks carcasses in a list of its own, and the round hand-off (no round
-// in flight, under the pool mutex) recycles them into the pool — the same
-// happens-before that moves the shard's output to the merge.
-class JFramePool {
- public:
-  explicit JFramePool(std::size_t max_pooled)
-      : max_pooled_(max_pooled) {}
-
-  JFrame Acquire() {
-    if (pool_.empty()) return JFrame{};
-    JFrame jf = std::move(pool_.back());
-    pool_.pop_back();
-    jf.Reset();
-    return jf;
-  }
-
-  void Recycle(JFrame&& jf) {
-    if (pool_.size() >= max_pooled_) return;  // cap steady-state footprint
-    pool_.push_back(std::move(jf));
-    ++recycled_total_;
-  }
-
-  std::size_t pooled() const { return pool_.size(); }
-  std::uint64_t recycled_total() const { return recycled_total_; }
-
- private:
-  std::size_t max_pooled_;
-  std::vector<JFrame> pool_;
-  std::uint64_t recycled_total_ = 0;
 };
 
 }  // namespace jig

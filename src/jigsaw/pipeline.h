@@ -165,11 +165,6 @@ class MergeSession {
   // follow this is the merge lag a dashboard wants; for a batch merge it is
   // just the reorder-horizon depth at the moment of the call.
   std::int64_t live_lag_us() const;
-  // Aggregated view of the process-global metric registry (every stage —
-  // trace IO, bootstrap, shards, merge, analysis bus — reports into
-  // one registry, so this is a whole-pipeline snapshot, not a per-session
-  // one).  Feed it to obs::ToPrometheusText / obs::ToJson.
-  obs::MetricsSnapshot MetricsSnapshot() const;
 
  private:
   struct Impl;

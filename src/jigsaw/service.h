@@ -336,14 +336,9 @@ class FrontierTrace final : public RecordStream {
       : inner_(std::move(inner)) {}
 
   const TraceHeader& header() const override { return inner_->header(); }
-  std::optional<CaptureRecord> Next() override {
-    auto rec = inner_->Next();
-    if (rec) Count();
-    return rec;
-  }
   const CaptureRecord* NextRef() override {
     const CaptureRecord* rec = inner_->NextRef();
-    if (rec != nullptr) Count();
+    if (rec != nullptr && ++pos_ > high_) high_ = pos_;
     return rec;
   }
   void Rewind() override {
@@ -356,10 +351,6 @@ class FrontierTrace final : public RecordStream {
   std::uint64_t frontier() const { return high_; }
 
  private:
-  void Count() {
-    if (++pos_ > high_) high_ = pos_;
-  }
-
   std::unique_ptr<RecordStream> inner_;
   std::uint64_t pos_ = 0;
   std::uint64_t high_ = 0;

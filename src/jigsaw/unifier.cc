@@ -7,8 +7,8 @@
 namespace jig {
 
 Unifier::Unifier(TraceSet& traces, const BootstrapResult& bootstrap,
-                 UnifierConfig config, JFrameSink sink, JFramePool* pool)
-    : traces_(traces), config_(config), sink_(std::move(sink)), pool_(pool) {
+                 UnifierConfig config, JFrameSink sink)
+    : traces_(traces), config_(config), sink_(std::move(sink)) {
   const std::size_t n = traces_.size();
   clocks_.reserve(n);
   heads_.resize(n);
@@ -214,7 +214,7 @@ void Unifier::ProcessOneGroup() {
   }
 
   // Build and emit the jframe.
-  JFrame jf = pool_ ? pool_->Acquire() : JFrame{};
+  JFrame jf;
   jf.timestamp = static_cast<UniversalMicros>(median);
   jf.dispersion = static_cast<Micros>(dispersion + 0.5);
   jf.channel = traces_.at(rep_trace).header().channel;
@@ -222,8 +222,7 @@ void Unifier::ProcessOneGroup() {
   jf.wire_len = rep.record->orig_len;
   jf.digest = rep.key.digest;
   if (ParseCaptureInto(*rep.record, parse_scratch_)) {
-    // Swap rather than move so the pooled body's capacity keeps circulating.
-    std::swap(jf.frame, parse_scratch_.frame);
+    jf.frame = std::move(parse_scratch_.frame);
   }
   jf.instances.reserve(group_.size());
   for (std::size_t t : group_) {

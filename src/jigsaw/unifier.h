@@ -91,11 +91,8 @@ class Unifier {
   // ordering is restored by the pipeline's reorder buffer.
   using JFrameSink = std::function<void(JFrame&&)>;
 
-  // `pool`, when non-null, supplies recycled jframes for emission (the
-  // caller owns it and recycles emitted frames back; see JFramePool for the
-  // synchronization contract).  Null means plain heap allocation.
   Unifier(TraceSet& traces, const BootstrapResult& bootstrap,
-          UnifierConfig config, JFrameSink sink, JFramePool* pool = nullptr);
+          UnifierConfig config, JFrameSink sink);
 
   // Runs the merge to completion (single pass over all traces).  Only for
   // finalized inputs: throws std::logic_error if a live trace starves —
@@ -153,7 +150,6 @@ class Unifier {
   TraceSet& traces_;
   UnifierConfig config_;
   JFrameSink sink_;
-  JFramePool* pool_;                    // optional, not owned
   std::vector<TraceClockState> clocks_;
   std::vector<bool> active_;            // synced and not exhausted
   std::vector<std::optional<Head>> heads_;
@@ -164,7 +160,8 @@ class Unifier {
   std::vector<QueueEntry> queue_;
   std::vector<std::size_t> starved_;    // active traces awaiting data
   UnifyStats stats_;
-  // Scratch reused across groups so steady state allocates nothing.
+  // Scratch reused across groups, so group bookkeeping allocates nothing
+  // in steady state.  The parsed frame moves into each jframe.
   std::vector<std::size_t> candidates_;
   std::vector<std::size_t> group_;
   std::vector<std::size_t> leftovers_;

@@ -2,9 +2,9 @@
 // a JSON mirror of the same data.
 //
 // Both render the aggregated snapshot, never the live registry — take the
-// snapshot once (MetricRegistry::Collect or MergeSession::MetricsSnapshot)
-// and hand it to whichever writers you need; the two expositions of one
-// snapshot are guaranteed to agree.
+// snapshot once (obs::MetricRegistry::Global().Collect()) and hand it to
+// whichever writers you need; the two expositions of one snapshot are
+// guaranteed to agree.
 //
 //   * ToPrometheusText — what `jigtool serve` writes to metrics.prom:
 //     HELP/TYPE comment lines, cumulative histogram buckets with le="..."

@@ -242,12 +242,6 @@ void SocketTrace::Decode(Unit& unit) {
   unit.decoded = true;
 }
 
-std::optional<CaptureRecord> SocketTrace::Next() {
-  const CaptureRecord* rec = NextRef();
-  if (!rec) return std::nullopt;
-  return *rec;
-}
-
 const CaptureRecord* SocketTrace::NextRef() {
   for (;;) {
     if (cur_ < units_.size()) {

@@ -98,7 +98,6 @@ class SocketTrace final : public RecordStream {
                                            int header_timeout_ms = 30000);
 
   const TraceHeader& header() const override { return header_; }
-  std::optional<CaptureRecord> Next() override;
   // Inflates the next queued block when the current one runs out; the
   // pointer stays valid until the next Next/NextRef/Rewind on this stream.
   const CaptureRecord* NextRef() override;

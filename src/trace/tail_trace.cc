@@ -79,12 +79,6 @@ bool TailFileTrace::TryLoadNextBlock() {
   return true;
 }
 
-std::optional<CaptureRecord> TailFileTrace::Next() {
-  const CaptureRecord* rec = NextRef();
-  if (!rec) return std::nullopt;
-  return *rec;
-}
-
 const CaptureRecord* TailFileTrace::NextRef() {
   while (block_pos_ >= block_records_.size()) {
     if (!TryLoadNextBlock()) return nullptr;

@@ -44,9 +44,8 @@ class TailFileTrace final : public RecordStream {
   TailFileTrace& operator=(const TailFileTrace&) = delete;
 
   const TraceHeader& header() const override { return header_; }
-  // nullopt means "no complete record available": consult Finalized() to
+  // nullptr means "no complete record available": consult Finalized() to
   // tell end-of-capture from a frontier that may still grow.
-  std::optional<CaptureRecord> Next() override;
   const CaptureRecord* NextRef() override;
   void Rewind() override;
   // Latched: once the finalize marker has been observed this stays true

@@ -21,7 +21,12 @@ class RecordStream {
  public:
   virtual ~RecordStream() = default;
   virtual const TraceHeader& header() const = 0;
-  virtual std::optional<CaptureRecord> Next() = 0;
+  // Copying form of NextRef(): the same advance, materialized.
+  virtual std::optional<CaptureRecord> Next() {
+    const CaptureRecord* rec = NextRef();
+    if (rec == nullptr) return std::nullopt;
+    return *rec;
+  }
   // Zero-copy scan: advances like Next() but hands back a pointer instead
   // of materializing a record (bootstrap reads every record of its window
   // this way).  nullptr at end of stream.  The pointer stays valid until
@@ -48,10 +53,6 @@ class MemoryTrace final : public RecordStream {
       : header_(header), records_(std::move(records)) {}
 
   const TraceHeader& header() const override { return header_; }
-  std::optional<CaptureRecord> Next() override {
-    if (pos_ >= records_.size()) return std::nullopt;
-    return records_[pos_++];
-  }
   const CaptureRecord* NextRef() override {
     if (pos_ >= records_.size()) return nullptr;
     return &records_[pos_++];
@@ -73,7 +74,6 @@ class FileTrace final : public RecordStream {
   explicit FileTrace(const std::filesystem::path& path) : reader_(path) {}
 
   const TraceHeader& header() const override { return reader_.header(); }
-  std::optional<CaptureRecord> Next() override { return reader_.Next(); }
   // Points into the reader's decoded-block buffer: valid until the next
   // advance, per the RecordStream contract — no per-record copy.
   const CaptureRecord* NextRef() override { return reader_.NextRef(); }

@@ -109,8 +109,8 @@ struct Frame {
   Micros AirTimeMicros() const { return TxDurationMicros(rate, WireSize()); }
 
   // Returns all fields to their default-constructed values while keeping
-  // body's heap allocation, so pooled frames (JFramePool) re-parse without
-  // reallocating.
+  // body's heap allocation, so a parse scratch (ParseFrameInto) re-parses
+  // without reallocating.
   void Reset() {
     type = FrameType::kData;
     retry = from_ds = to_ds = false;

@@ -242,6 +242,34 @@ TEST_F(CliTest, MidStreamDisconnectExitsThreeBothEnds) {
                           << ", collect exit " << combined % 10;
 }
 
+// demo-live's TCP door end to end: every simulated radio dials one
+// collector and streams its capture, and the collector persists each
+// stream as a .jigt.
+TEST_F(CliTest, DemoLiveTcpToCollectExitsZeroBothEnds) {
+  constexpr int kRadios = 156;  // the demo deployment
+  const std::string tool = JigtoolPath();
+  const fs::path out = dir_ / "out";
+  const std::string ready = (dir_ / "out.ready").string();
+  const std::string p = std::to_string(UnusedPort());
+  const std::string cmd =
+      tool + " collect " + out.string() + " " + p + " " +
+      std::to_string(kRadios) + " --ready-file " + ready +
+      " >/dev/null 2>&1 & cpid=$!; " + WaitForFile(ready) + tool +
+      " demo-live " + (dir_ / "unused").string() + " 1 10 --tcp " + p +
+      " >/dev/null 2>&1; d=$?; wait $cpid; c=$?; exit $((d * 10 + c))";
+  const int status = std::system(cmd.c_str());
+  ASSERT_NE(status, -1);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0)
+      << "demo-live exit " << WEXITSTATUS(status) / 10 << ", collect exit "
+      << WEXITSTATUS(status) % 10;
+  int traces = 0;
+  for (const auto& entry : fs::directory_iterator(out)) {
+    if (entry.path().extension() == ".jigt") ++traces;
+  }
+  EXPECT_EQ(traces, kRadios);
+}
+
 // A silent connection that reaches the collector before the sender is
 // dropped, not taken for the one stream.  Pre-fix collect parsed it as the
 // first stream's handshake and exited 3 once it closed.

@@ -68,12 +68,6 @@ class FaultyStream final : public RecordStream {
 
   const TraceHeader& header() const override { return inner_->header(); }
 
-  std::optional<CaptureRecord> Next() override {
-    const CaptureRecord* rec = NextRef();
-    if (rec == nullptr) return std::nullopt;
-    return *rec;
-  }
-
   const CaptureRecord* NextRef() override {
     if (faults_.kill_at && pos_ == *faults_.kill_at) {
       throw KillPoint("record " + std::to_string(pos_) + " of radio " +
