@@ -200,6 +200,16 @@ int main(int argc, char** argv) {
     WriteSeed(root / "fuzz_lz_decode", "incompressible.bin",
               jig::LzCompress(incompressible));
     WriteSeed(root / "fuzz_lz_decode", "empty.bin", jig::LzCompress({}));
+    // Runs with periods 1..15: matches whose distance is shorter than
+    // their length, which overlap themselves and take the byte-copy path.
+    jig::Bytes short_runs;
+    for (int period = 1; period < 16; ++period) {
+      for (int i = 0; i < 40; ++i) {
+        short_runs.push_back(static_cast<std::uint8_t>('a' + i % period));
+      }
+    }
+    WriteSeed(root / "fuzz_lz_decode", "short_distance_runs.bin",
+              jig::LzCompress(short_runs));
   }
 
   // --- fuzz_jframe_deserialize: serialized frames ------------------------

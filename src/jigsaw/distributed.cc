@@ -94,6 +94,7 @@ void WingSession::Run() {
   Impl& impl = *impl_;
   const std::size_t per_round =
       std::max<std::size_t>(1, impl.config.records_per_block);
+  Bytes scratch;  // a re-encoded unit, for sources that store none
   std::vector<bool> finished(impl.uplinks.size(), false);
   std::size_t open = impl.uplinks.size();
   while (open > 0) {
@@ -102,21 +103,16 @@ void WingSession::Run() {
       if (finished[i]) continue;
       RecordStream& source = impl.traces.at(i);
       SocketTraceWriter& uplink = *impl.uplinks[i];
-      const CaptureRecord* rec = nullptr;
-      std::size_t n = 0;
-      while (n < per_round && (rec = source.NextRef()) != nullptr) {
-        uplink.Append(*rec);
-        ++n;
-      }
-      if (n > 0) {
+      if (const auto unit = source.NextUnit(per_round, scratch)) {
+        uplink.AppendUnit(*unit);
         uplink.Sync();
         moved = true;
-      }
-      // Probed past the end of a finalized capture: everything the radio
-      // will ever hold is relayed.  Finish its uplink now — like a capture
-      // daemon shutting down — so the root's watermark never waits on a
-      // radio that has said everything while its wing-mates keep going.
-      if (rec == nullptr && source.Finalized()) {
+      } else if (source.Finalized()) {
+        // Probed past the end of a finalized capture: everything the
+        // radio will ever hold is relayed.  Finish its uplink now — like
+        // a capture daemon shutting down — so the root's watermark never
+        // waits on a radio that has said everything while its wing-mates
+        // keep going.
         uplink.Finish();
         finished[i] = true;
         --open;

@@ -44,9 +44,11 @@ struct WingConfig {
   // Unused: a wing relays without merging.  Kept only because existing
   // callers (bench/e2e/batch.cc) still set merge.threads.
   MergeConfig merge;
-  // Records per relayed block, and the most records one radio relays per
-  // round.  Small blocks publish sooner (lower root latency), large blocks
-  // compress better.
+  // Records per block for a source that stores no blocks (a MemoryTrace,
+  // say), which the wing re-encodes; small blocks publish sooner (lower
+  // root latency), large blocks compress better.  File and tail sources
+  // forward their stored blocks, so their cuts set the uplink's block
+  // sizes.
   std::size_t records_per_block = 256;
   // How long to keep retrying the root connection before giving up.
   int connect_timeout_ms = 10000;
@@ -64,9 +66,9 @@ class WingSession {
   ~WingSession();
 
   // Round-robins over the radios until every uplink has finished.  Each
-  // round moves up to records_per_block records per radio and cuts them
-  // into one block; a round that moved nothing sleeps 5 ms.  Blocking;
-  // run one thread per wing.
+  // round forwards one unit per radio (RecordStream::NextUnit: a stored
+  // block as is, or up to records_per_block records re-encoded); a round
+  // that moved nothing sleeps 5 ms.  Blocking; run one thread per wing.
   void Run();
 
   std::uint64_t records_relayed() const;

@@ -79,6 +79,16 @@ Bytes Inflate(std::span<const std::uint8_t> payload, TornPayload torn,
   }
 }
 
+std::size_t CountRecords(std::span<const std::uint8_t> payload,
+                         TornPayload torn, const char* what) {
+  const Bytes raw = Inflate(payload, torn, what);
+  std::size_t records = 0;
+  ParseComplete(raw, what, [&records](ByteReader& r) {
+    for (; !r.AtEnd(); ++records) SkipRecord(r);
+  });
+  return records;
+}
+
 TraceHeader DecodeTraceHeader(std::span<const std::uint8_t> header) {
   TraceHeader h;
   ParseComplete(header, "trace header",
@@ -184,6 +194,16 @@ Encoder::~Encoder() {
   }
 }
 
+void Encoder::AppendUnit(const StoredUnit& unit) {
+  if (closed_) throw std::logic_error("AppendUnit after Finish");
+  if (unit.payload.empty()) {
+    throw std::invalid_argument("AppendUnit: empty payload");
+  }
+  Cut();
+  WriteUnit(unit.payload, unit.records);
+  records_ += unit.records;
+}
+
 void Encoder::Sync() {
   if (closed_) throw std::logic_error("Sync after Finish");
   Cut();
@@ -213,12 +233,16 @@ void Encoder::Abandon() {
 
 void Encoder::Cut() {
   if (pending_records_ == 0) return;
-  const Bytes packed = LzCompress(pending_, level_);
-  if (hooks_.on_cut) hooks_.on_cut(bytes_written_, pending_records_);
-  WriteU32(static_cast<std::uint32_t>(packed.size()));
-  Write(packed);
+  WriteUnit(LzCompress(pending_, level_), pending_records_);
   pending_.clear();
   pending_records_ = 0;
+}
+
+void Encoder::WriteUnit(std::span<const std::uint8_t> payload,
+                        std::uint32_t records) {
+  if (hooks_.on_cut) hooks_.on_cut(bytes_written_, records);
+  WriteU32(static_cast<std::uint32_t>(payload.size()));
+  Write(payload);
 }
 
 void Encoder::Write(std::span<const std::uint8_t> bytes) {

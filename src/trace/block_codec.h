@@ -143,6 +143,20 @@ void DecodeRecords(std::span<const std::uint8_t> payload, TornPayload torn,
   });
 }
 
+// Inflates a .jigt record block and walks its records without
+// materializing them: the record count DecodeRecords would deliver, from
+// the same checks and failures, with no allocation past the inflated block.
+std::size_t CountRecords(std::span<const std::uint8_t> payload,
+                         TornPayload torn, const char* what);
+
+// One unit as a relay moves it: the LZ payload, still compressed, and how
+// many records it holds.  The payload is a view; its owner says how long
+// it stays valid.
+struct StoredUnit {
+  std::span<const std::uint8_t> payload;
+  std::uint32_t records = 0;
+};
+
 class Encoder;
 
 // The pending .jigt block's first and last timestamps (the .jigt index
@@ -273,6 +287,12 @@ class Encoder {
     ++records_;
     if (++pending_records_ >= records_per_block_) Cut();
   }
+  // Appends a unit another stream already framed: cuts the pending
+  // records, then writes `unit` as the next block, its payload unchanged,
+  // counting its records.  Throws std::invalid_argument on an empty
+  // payload (its length word would be the finalize marker) and
+  // std::logic_error after Finish or Abandon.
+  void AppendUnit(const StoredUnit& unit);
   // Publication point: cuts the pending records into a block (so blocks
   // may be shorter than records_per_block) and flushes the sink.  Throws
   // std::logic_error after Finish or Abandon.
@@ -291,6 +311,8 @@ class Encoder {
 
  private:
   void Cut();
+  // Writes one [len][payload] unit, firing on_cut first.
+  void WriteUnit(std::span<const std::uint8_t> payload, std::uint32_t records);
   void Write(std::span<const std::uint8_t> bytes);
   void WriteU32(std::uint32_t v);
 

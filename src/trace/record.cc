@@ -42,8 +42,13 @@ void SerializeRecord(const CaptureRecord& rec, LocalMicros prev_timestamp,
   w.Raw(rec.bytes);
 }
 
-CaptureRecord DeserializeRecord(ByteReader& r, LocalMicros prev_timestamp) {
-  CaptureRecord rec;
+namespace {
+
+// Reads one record's fields into `rec` and returns its captured bytes, a
+// view into `r`: the one parse DeserializeRecord and SkipRecord share.
+std::span<const std::uint8_t> ReadRecord(ByteReader& r,
+                                         LocalMicros prev_timestamp,
+                                         CaptureRecord& rec) {
   // Unsigned addition: a hostile delta would make the signed sum overflow,
   // which is UB — wraparound gives the same value for every valid trace and
   // a defined (if meaningless) one for corrupt input.
@@ -55,9 +60,21 @@ CaptureRecord DeserializeRecord(ByteReader& r, LocalMicros prev_timestamp) {
   rec.rate = static_cast<PhyRate>(r.U8());
   rec.orig_len = static_cast<std::uint32_t>(r.Varint());
   const auto len = static_cast<std::size_t>(r.Varint());
-  auto raw = r.Raw(len);
+  return r.Raw(len);
+}
+
+}  // namespace
+
+CaptureRecord DeserializeRecord(ByteReader& r, LocalMicros prev_timestamp) {
+  CaptureRecord rec;
+  const auto raw = ReadRecord(r, prev_timestamp, rec);
   rec.bytes.assign(raw.begin(), raw.end());
   return rec;
+}
+
+void SkipRecord(ByteReader& r) {
+  CaptureRecord fields;  // its bytes stay empty: nothing is allocated
+  ReadRecord(r, 0, fields);
 }
 
 }  // namespace jig

@@ -61,5 +61,8 @@ TraceHeader DeserializeHeader(ByteReader& r);
 void SerializeRecord(const CaptureRecord& rec, LocalMicros prev_timestamp,
                      Bytes& out);
 CaptureRecord DeserializeRecord(ByteReader& r, LocalMicros prev_timestamp);
+// Reads past one serialized record without materializing its bytes: the
+// reads DeserializeRecord makes, so it fails on exactly the same input.
+void SkipRecord(ByteReader& r);
 
 }  // namespace jig

@@ -297,17 +297,14 @@ std::uint64_t SocketTrace::RecordsReceived() {
   std::uint64_t n = released_records_;
   for (Unit& unit : units_) {
     if (!unit.count) {
-      std::size_t records = 0;
       try {
-        block_codec::DecodeRecords(
-            unit.payload, block_codec::TornPayload::kCorrupt, "socket trace",
-            [&records](CaptureRecord&&) { ++records; });
+        unit.count = block_codec::CountRecords(
+            unit.payload, block_codec::TornPayload::kCorrupt, "socket trace");
       } catch (const TraceCorruptError&) {
         // The consumer throws when it reaches this block, so nothing
         // after it ever surfaces: the count can stop here.
         break;
       }
-      unit.count = records;
     }
     n += *unit.count;
   }

@@ -218,6 +218,11 @@ class SocketTraceWriter {
   void Append(const CaptureRecord& rec) {
     block_codec::AppendRecord(encoder_, rec, block_);
   }
+  // Sends a unit another stream already framed (a relay's stored block),
+  // after cutting and sending the pending records: Encoder::AppendUnit.
+  void AppendUnit(const block_codec::StoredUnit& unit) {
+    encoder_.AppendUnit(unit);
+  }
   // Cuts and sends the pending partial block so the receiver can consume
   // everything appended so far.
   void Sync() { encoder_.Sync(); }

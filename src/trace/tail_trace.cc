@@ -44,39 +44,60 @@ TailFileTrace::TailFileTrace(block_codec::FileSource file, TraceHeader header,
       data_start_(data_start),
       next_block_offset_(data_start) {}
 
-bool TailFileTrace::TryLoadNextBlock() {
+std::optional<block_codec::Frame> TailFileTrace::ReadFrontierUnit(
+    Bytes& buf) {
   // After a Rewind() past the latched marker, replay stops exactly where
   // the marker was seen — re-reading it would be wasted IO, and the latch
   // itself must never clear.
   if (end_marker_seen_ && next_block_offset_ >= end_marker_offset_) {
-    return false;
+    return std::nullopt;
   }
-  Bytes frame;
   const block_codec::Frame unit =
-      file_.ReadFrame(next_block_offset_, frame, block_codec::ParseUnit);
+      file_.ReadFrame(next_block_offset_, buf, block_codec::ParseUnit);
   switch (unit.status) {
     case block_codec::Status::kNeedMore:
       // The length word or the block body is still being written; re-poll
       // from the boundary.
-      (frame.size() < 4 ? Metrics().repolls : Metrics().truncation_retries)
+      (buf.size() < 4 ? Metrics().repolls : Metrics().truncation_retries)
           .Add(1);
-      return false;
+      return std::nullopt;
     case block_codec::Status::kMarker:
       // The writer's finalize marker: no block will ever follow.
       end_marker_seen_ = true;
       end_marker_offset_ = next_block_offset_;
-      return false;
+      return std::nullopt;
     case block_codec::Status::kComplete:
       break;
   }
+  return unit;
+}
+
+bool TailFileTrace::TryLoadNextBlock() {
+  Bytes frame;
+  const std::optional<block_codec::Frame> unit = ReadFrontierUnit(frame);
+  if (!unit) return false;
   block_records_.clear();
   block_pos_ = 0;
   block_codec::DecodeRecords(
-      unit.body, block_codec::TornPayload::kCorrupt, path_.c_str(),
+      unit->body, block_codec::TornPayload::kCorrupt, path_.c_str(),
       [this](CaptureRecord&& rec) { block_records_.push_back(std::move(rec)); });
-  block_codec::CountTraceBlock(unit.size, block_records_.size());
-  next_block_offset_ += unit.size;
+  block_codec::CountTraceBlock(unit->size, block_records_.size());
+  next_block_offset_ += unit->size;
   return true;
+}
+
+std::optional<block_codec::StoredUnit> TailFileTrace::NextUnit(std::size_t,
+                                                               Bytes&) {
+  block_records_.clear();
+  block_pos_ = 0;
+  const std::optional<block_codec::Frame> unit = ReadFrontierUnit(unit_);
+  if (!unit) return std::nullopt;
+  const std::size_t records = block_codec::CountRecords(
+      unit->body, block_codec::TornPayload::kCorrupt, path_.c_str());
+  block_codec::CountTraceBlock(unit->size, records);
+  next_block_offset_ += unit->size;
+  return block_codec::StoredUnit{unit->body,
+                                 static_cast<std::uint32_t>(records)};
 }
 
 const CaptureRecord* TailFileTrace::NextRef() {

@@ -47,6 +47,12 @@ class TailFileTrace final : public RecordStream {
   // nullptr means "no complete record available": consult Finalized() to
   // tell end-of-capture from a frontier that may still grow.
   const CaptureRecord* NextRef() override;
+  // The next complete unit at the frontier, as stored, with the same
+  // no-data-yet / finalized / corruption states as NextRef().  The block
+  // is inflated once to count and check its records, none of which is
+  // materialized.
+  std::optional<block_codec::StoredUnit> NextUnit(std::size_t,
+                                                  Bytes&) override;
   void Rewind() override;
   // Latched: once the finalize marker has been observed this stays true
   // forever — Rewind() replays the records but cannot un-finalize the
@@ -61,10 +67,13 @@ class TailFileTrace final : public RecordStream {
   TailFileTrace(block_codec::FileSource file, TraceHeader header,
                 std::uint64_t data_start, std::filesystem::path path);
 
-  // Attempts to load the block at next_block_offset_.  Returns false with
-  // no state change when the block is not fully written yet, false with
-  // end_marker_seen_ latched when the terminator is found, true on
-  // success.
+  // Reads the unit at next_block_offset_ into `buf`.  nullopt with no
+  // state change when the block is not fully written yet, nullopt with
+  // end_marker_seen_ latched when the terminator is found.  The caller
+  // advances the frontier once it has checked the unit.
+  std::optional<block_codec::Frame> ReadFrontierUnit(Bytes& buf);
+  // Decodes the unit at the frontier into block_records_; false when
+  // there is none (see ReadFrontierUnit).
   bool TryLoadNextBlock();
 
   block_codec::FileSource file_;
@@ -72,6 +81,7 @@ class TailFileTrace final : public RecordStream {
   std::filesystem::path path_;
   std::uint64_t data_start_ = 0;        // offset of the first block
   std::uint64_t next_block_offset_ = 0; // read frontier (block-aligned)
+  Bytes unit_;  // the unit NextUnit handed out last
   std::vector<CaptureRecord> block_records_;
   std::size_t block_pos_ = 0;
   // Both latch on the [u32 0] terminator and survive Rewind(): replay

@@ -109,14 +109,10 @@ std::uint64_t TraceFileReader::TotalRecords() const {
   return n;
 }
 
-void TraceFileReader::LoadBlock(std::size_t block_idx) {
-  block_records_.clear();
-  block_pos_ = 0;
-  if (block_idx >= index_.size()) return;
-  const auto& entry = index_[block_idx];
-  Bytes frame;
+block_codec::Frame TraceFileReader::ReadUnit(const BlockIndexEntry& entry,
+                                             Bytes& buf) {
   const block_codec::Frame unit =
-      file_.ReadFrame(entry.file_offset, frame, block_codec::ParseUnit);
+      file_.ReadFrame(entry.file_offset, buf, block_codec::ParseUnit);
   if (unit.status == block_codec::Status::kNeedMore) {
     // The index promises a block the data region no longer (or does not
     // yet) fully contains.
@@ -125,6 +121,16 @@ void TraceFileReader::LoadBlock(std::size_t block_idx) {
   if (unit.status == block_codec::Status::kMarker) {
     throw TraceCorruptError("index entry points at the finalize marker");
   }
+  return unit;
+}
+
+void TraceFileReader::LoadBlock(std::size_t block_idx) {
+  block_records_.clear();
+  block_pos_ = 0;
+  if (block_idx >= index_.size()) return;
+  const auto& entry = index_[block_idx];
+  Bytes frame;
+  const block_codec::Frame unit = ReadUnit(entry, frame);
   block_codec::DecodeRecords(
       unit.body, block_codec::TornPayload::kTruncated, "trace file",
       [this](CaptureRecord&& rec) { block_records_.push_back(std::move(rec)); });
@@ -148,6 +154,15 @@ const CaptureRecord* TraceFileReader::NextRef() {
     LoadBlock(current_block_++);
   }
   return &block_records_[block_pos_++];
+}
+
+std::optional<block_codec::StoredUnit> TraceFileReader::NextUnit() {
+  block_records_.clear();
+  block_pos_ = 0;
+  if (current_block_ >= index_.size()) return std::nullopt;
+  const BlockIndexEntry& entry = index_[current_block_++];
+  return block_codec::StoredUnit{ReadUnit(entry, unit_).body,
+                                 entry.record_count};
 }
 
 void TraceFileReader::SeekToTimestamp(LocalMicros ts) {

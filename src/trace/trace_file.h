@@ -86,12 +86,22 @@ class TraceFileReader {
   // Next/NextRef/Seek/Rewind call on this reader.
   const CaptureRecord* NextRef();
 
+  // Relay access: the next indexed block as stored — its LZ payload and
+  // the index's record count, neither inflated nor checked against each
+  // other (whoever decodes the relayed unit does that).  nullopt at end of
+  // trace.  The payload is valid until the next call on this reader.
+  // Shares the block cursor with NextRef: a block NextRef has begun is
+  // skipped, so read one way or the other between Rewinds.
+  std::optional<block_codec::StoredUnit> NextUnit();
+
   // Positions the cursor at the first block whose last timestamp is >= ts.
   void SeekToTimestamp(LocalMicros ts);
   void Rewind();
 
  private:
   void ReadIndex(const std::filesystem::path& path);
+  // Reads the indexed block's unit into `buf` and returns it.
+  block_codec::Frame ReadUnit(const BlockIndexEntry& entry, Bytes& buf);
   // Decodes the indexed block to its end; a record count that disagrees
   // with the index is TraceCorruptError.
   void LoadBlock(std::size_t block_idx);
@@ -100,6 +110,7 @@ class TraceFileReader {
   TraceHeader header_;
   std::vector<BlockIndexEntry> index_;
   std::size_t current_block_ = 0;
+  Bytes unit_;  // the unit NextUnit handed out last, framing included
   std::vector<CaptureRecord> block_records_;
   std::size_t block_pos_ = 0;
 };

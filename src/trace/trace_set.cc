@@ -10,6 +10,23 @@
 
 namespace jig {
 
+std::optional<block_codec::StoredUnit> RecordStream::NextUnit(
+    std::size_t max_records, Bytes& scratch) {
+  // The encoding AppendRecord gives a block: each timestamp a delta from
+  // the block's previous record, from 0 for its first.
+  Bytes raw;
+  std::uint32_t records = 0;
+  LocalMicros prev = 0;
+  for (const CaptureRecord* rec = nullptr;
+       records < max_records && (rec = NextRef()) != nullptr; ++records) {
+    SerializeRecord(*rec, prev, raw);
+    prev = rec->timestamp;
+  }
+  if (records == 0) return std::nullopt;
+  scratch = LzCompress(raw, block_codec::kTraceFormat.level);
+  return block_codec::StoredUnit{scratch, records};
+}
+
 std::vector<ChannelShard> TraceSet::PartitionByChannel() {
   std::map<Channel, ChannelShard> by_channel;  // ordered by channel number
   for (std::size_t i = 0; i < streams_.size(); ++i) {

@@ -33,6 +33,17 @@ class RecordStream {
   // the next Next/NextRef/Rewind call on THIS stream — a merge holds one
   // borrowed record per stream while it advances the others.
   virtual const CaptureRecord* NextRef() = 0;
+  // Relay form: the stream's next records as one unit, still
+  // LZ-compressed, for a relay to forward without decoding them.  A stream
+  // that stores its blocks hands over its next stored unit whole; the
+  // default re-encodes up to `max_records` records from NextRef() into
+  // `scratch`, the block a writer would cut from them.  nullopt when no
+  // record is available: consult Finalized(), as after NextRef().  The
+  // payload stays valid until the next advance of this stream or reuse of
+  // `scratch`.  Read a stream by units or by records between Rewinds, not
+  // both.
+  virtual std::optional<block_codec::StoredUnit> NextUnit(
+      std::size_t max_records, Bytes& scratch);
   virtual void Rewind() = 0;
   // The rewind latch: the caller will never Rewind() this stream again,
   // so a stream that keeps what it has read for a replay may free it as
@@ -77,6 +88,11 @@ class FileTrace final : public RecordStream {
   // Points into the reader's decoded-block buffer: valid until the next
   // advance, per the RecordStream contract — no per-record copy.
   const CaptureRecord* NextRef() override { return reader_.NextRef(); }
+  // The next indexed block as stored (TraceFileReader::NextUnit).
+  std::optional<block_codec::StoredUnit> NextUnit(std::size_t,
+                                                  Bytes&) override {
+    return reader_.NextUnit();
+  }
   void Rewind() override { reader_.Rewind(); }
 
   TraceFileReader& reader() { return reader_; }

@@ -15,6 +15,10 @@ constexpr std::size_t kHashSize = 1u << kHashBits;
 constexpr int kDefaultChainDepth = 32;
 // Sentinel for "no previous position with this hash".
 constexpr std::uint32_t kNilPos = 0xFFFFFFFFu;
+// LzDecompress's copy unit: short literal runs and matches at least this
+// far back move in chunks of this many bytes, which is also the slack its
+// output buffer keeps past the bytes produced.
+constexpr std::size_t kCopyChunk = 16;
 
 std::uint32_t Hash4(const std::uint8_t* p) {
   std::uint32_t v;
@@ -58,6 +62,14 @@ std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
   }
   while (len < limit && a[len] == b[len]) ++len;
   return len;
+}
+
+// Grows LzDecompress's output buffer to hold `need` bytes plus the copy
+// slack: at least doubling it, never past the declared raw size.
+void GrowOutput(std::vector<std::uint8_t>& out, std::size_t need,
+                std::size_t raw_size) {
+  out.resize(std::min(std::max(need, 2 * out.size()), raw_size) +
+             kCopyChunk);
 }
 
 }  // namespace
@@ -140,52 +152,94 @@ std::vector<std::uint8_t> LzDecompress(std::span<const std::uint8_t> packed) {
   // A match token (3 bytes) emits at most kLzMaxMatch bytes, so no
   // conforming stream expands beyond kLzMaxMatch per input byte; a declared
   // raw size past that is self-inconsistent.  Rejecting it here (and capping
-  // the upfront reserve) keeps a hostile 4-byte header from demanding a
+  // the upfront presize) keeps a hostile 4-byte header from demanding a
   // 4 GiB allocation — std::bad_alloc is not part of the error taxonomy.
   if (raw_size > (packed.size() - 4) * kLzMaxMatch) {
     throw LzCorruptError("LzDecompress: declared raw size unreachable");
   }
-  constexpr std::size_t kReserveCap = 1u << 20;
-  std::vector<std::uint8_t> out;
-  out.reserve(std::min<std::size_t>(raw_size, kReserveCap));
+  // The output is written through a raw pointer in kCopyChunk-byte
+  // chunks, which may run up to kCopyChunk - 1 bytes past the bytes
+  // produced so far; the buffer keeps kCopyChunk bytes of slack for that.
+  // It starts at min(raw_size, 1 MiB) and grows only as real output
+  // needs it.
+  constexpr std::size_t kPresizeCap = 1u << 20;
+  std::vector<std::uint8_t> out(std::min<std::size_t>(raw_size, kPresizeCap) +
+                                kCopyChunk);
+  std::size_t size = 0;  // bytes produced
+  // The buffer's base and size live in locals whose address is never
+  // taken: a store through a byte pointer may alias anything else, the
+  // vector's own fields included, and would force a reload of both after
+  // every copy.
+  std::uint8_t* base = out.data();
+  std::size_t room = out.size();
+  const std::uint8_t* in = packed.data();
   std::size_t pos = 4;
   const std::size_t n = packed.size();
   while (pos < n) {
-    const std::uint8_t control = packed[pos++];
+    const std::uint8_t control = in[pos++];
     if (control < 0x80) {
       const std::size_t run = static_cast<std::size_t>(control) + 1;
       if (pos + run > n) {
         throw LzTruncatedError("LzDecompress: literal run truncated");
       }
-      if (out.size() + run > raw_size) {
+      if (size + run > raw_size) {
         throw LzCorruptError("LzDecompress: output exceeds declared raw size");
       }
-      out.insert(out.end(), packed.begin() + pos, packed.begin() + pos + run);
+      if (size + run + kCopyChunk > room) {
+        GrowOutput(out, size + run, raw_size);
+        base = out.data();
+        room = out.size();
+      }
+      // A short run is one fixed-size copy when the input has the bytes
+      // to over-read; the over-copied tail lands in the slack.  (Two
+      // calls, so the common one is a constant-size copy.)
+      if (run <= kCopyChunk && n - pos >= kCopyChunk) {
+        std::memcpy(base + size, in + pos, kCopyChunk);
+      } else {
+        std::memcpy(base + size, in + pos, run);
+      }
+      size += run;
       pos += run;
     } else {
       const std::size_t len = (control & 0x7Fu) + kLzMinMatch;
       if (pos + 2 > n) {
         throw LzTruncatedError("LzDecompress: match token truncated");
       }
-      const std::size_t dist = static_cast<std::size_t>(packed[pos]) |
-                               (static_cast<std::size_t>(packed[pos + 1]) << 8);
+      const std::size_t dist = static_cast<std::size_t>(in[pos]) |
+                               (static_cast<std::size_t>(in[pos + 1]) << 8);
       pos += 2;
-      if (dist == 0 || dist > out.size()) {
+      if (dist == 0 || dist > size) {
         throw LzCorruptError("LzDecompress: bad match distance");
       }
-      if (out.size() + len > raw_size) {
+      if (size + len > raw_size) {
         throw LzCorruptError("LzDecompress: output exceeds declared raw size");
       }
-      // Byte-by-byte copy: overlapping matches (dist < len) are legal and
-      // encode runs, so memcpy would be wrong here.
-      std::size_t src = out.size() - dist;
-      for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+      if (size + len + kCopyChunk > room) {
+        GrowOutput(out, size + len, raw_size);
+        base = out.data();
+        room = out.size();
+      }
+      std::uint8_t* dst = base + size;
+      const std::uint8_t* src = dst - dist;
+      if (dist >= kCopyChunk) {
+        // Each chunk reads only bytes already written: src + i + kCopyChunk
+        // <= dst + i.
+        for (std::size_t i = 0; i < len; i += kCopyChunk) {
+          std::memcpy(dst + i, src + i, kCopyChunk);
+        }
+      } else {
+        // A short distance overlaps the match with itself (dist < len
+        // encodes a run), so it copies byte by byte.
+        for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+      }
+      size += len;
     }
   }
-  if (out.size() != raw_size) {
+  if (size != raw_size) {
     throw LzTruncatedError(
         "LzDecompress: stream ends before declared raw size");
   }
+  out.resize(size);
   return out;
 }
 

@@ -16,6 +16,13 @@
 // accepts any conforming stream regardless of which level (or which past
 // version of the compressor) produced it.
 //
+// Decompress copies through a raw pointer: a literal run of up to 16 bytes
+// is one 16-byte copy, and a match whose distance is at least 16 copies in
+// 16-byte chunks (a shorter distance overlaps itself and goes byte by
+// byte).  Those copies may write up to 15 bytes past the output produced
+// so far, so the buffer carries 16 bytes of slack and is trimmed to the
+// raw size on return.
+//
 // Decompress validates all offsets.  Malformed input throws LzTruncatedError
 // when the stream simply ends too early (cut-off header, token, or literal
 // run — the shape a torn write produces) and LzCorruptError when the bytes

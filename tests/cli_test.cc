@@ -13,14 +13,18 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "reference_merge.h"
 #include "trace/net.h"
@@ -180,6 +184,83 @@ TEST_F(CliTest, WingOnMissingOrEmptyInputExitsOne) {
   const std::string root = " 127.0.0.1 " + std::to_string(UnusedPort());
   EXPECT_EQ(RunJigtool("wing " + (dir_ / "nonexistent").string() + root), 1);
   EXPECT_EQ(RunJigtool("wing " + dir_.string() + root), 1);  // no .jigt files
+}
+
+std::string ReadText(const fs::path& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// The first `n` whitespace-delimited tokens after `label` in a jigtool
+// summary: `events: 45098 (36938 valid, ...)` with n = 2 gives
+// "45098 (36938".  Empty if the label is absent.
+std::string SummaryTokens(const std::string& text, const std::string& label,
+                          int n) {
+  const auto at = text.find(label);
+  if (at == std::string::npos) return "";
+  std::istringstream line(text.substr(at + label.size()));
+  std::string out;
+  std::string token;
+  for (int i = 0; i < n && line >> token; ++i) out += (i ? " " : "") + token;
+  return out;
+}
+
+// The distributed door end to end: `demo` writes a deployment, two `wing`
+// processes relay a pod split of it to one `root`, and the root's summary
+// equals `merge`'s over the whole directory.
+TEST_F(CliTest, RootWithTwoWingsMatchesMerge) {
+  const fs::path traces = dir_ / "traces";
+  ASSERT_EQ(RunJigtool("demo " + traces.string()), 0);
+  std::vector<std::pair<std::uint16_t, fs::path>> by_pod;
+  for (const auto& entry : fs::directory_iterator(traces)) {
+    by_pod.emplace_back(jig::TraceFileReader(entry.path()).header().pod,
+                        entry.path());
+  }
+  ASSERT_GT(by_pod.size(), 2u);
+  std::sort(by_pod.begin(), by_pod.end());
+  const std::uint16_t cut = by_pod[by_pod.size() / 2].first;
+  const fs::path wings[2] = {dir_ / "w1", dir_ / "w2"};
+  for (const fs::path& w : wings) fs::create_directories(w);
+  for (const auto& [pod, path] : by_pod) {
+    fs::copy_file(path, wings[pod < cut ? 0 : 1] / path.filename());
+  }
+  ASSERT_FALSE(fs::is_empty(wings[0]));
+  ASSERT_FALSE(fs::is_empty(wings[1]));
+
+  const std::string tool = JigtoolPath();
+  const fs::path merge_out = dir_ / "merge.txt";
+  ASSERT_EQ(std::system((tool + " merge " + traces.string() + " > " +
+                         merge_out.string() + " 2>/dev/null")
+                            .c_str()),
+            0);
+  // The wings retry their dial until the root listens.
+  const fs::path root_out = dir_ / "root.txt";
+  const std::string p = std::to_string(UnusedPort());
+  const std::string cmd =
+      tool + " root " + p + " " + std::to_string(by_pod.size()) + " > " +
+      root_out.string() + " 2>/dev/null & rpid=$!; " + tool + " wing " +
+      wings[0].string() + " 127.0.0.1 " + p + " 1 >/dev/null 2>&1 & " +
+      "w1=$!; " + tool + " wing " + wings[1].string() + " 127.0.0.1 " + p +
+      " 2 >/dev/null 2>&1; w2=$?; wait $w1; w1=$?; wait $rpid; r=$?; " +
+      "exit $((r * 100 + w1 * 10 + w2))";
+  const int status = std::system(cmd.c_str());
+  ASSERT_NE(status, -1);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0)
+      << "root exit " << WEXITSTATUS(status) / 100 << ", wing exits "
+      << WEXITSTATUS(status) / 10 % 10 << " " << WEXITSTATUS(status) % 10;
+
+  const std::string merge = ReadText(merge_out);
+  const std::string root = ReadText(root_out);
+  // Radios synced, events in and valid events in, jframes out.
+  for (const auto& [label, n] : {std::pair{"radios synced:", 1},
+                                 std::pair{"events:", 2},
+                                 std::pair{"jframes:", 1}}) {
+    EXPECT_NE(SummaryTokens(merge, label, n), "") << label;
+    EXPECT_EQ(SummaryTokens(root, label, n), SummaryTokens(merge, label, n))
+        << label;
+  }
 }
 
 TEST_F(CliTest, ServeTraceCorruptSourceExitsThree) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "lz_reference.h"
 #include "util/rng.h"
 
 namespace jig {
@@ -196,6 +199,160 @@ TEST(CompressionErrors, BothKindsAreLzErrorsAndRuntimeErrors) {
   EXPECT_THROW(LzDecompress(Bytes{4, 0, 0, 0, 0x80, 9, 0}), LzError);
   EXPECT_THROW(LzDecompress(Bytes{4, 0, 0, 0, 0x80, 9, 0}),
                std::runtime_error);
+}
+
+// ---- the chunked-copy kernel against the byte-at-a-time reference -------
+//
+// LzDecompress copies literals and far matches in 16-byte chunks through a
+// buffer with slack; testing::LzDecompressReference is the decoder it
+// replaced.  On every stream the two must produce the same bytes, or throw
+// the same type with the same message.
+
+// A decoder's verdict on one stream: its output, or what it threw.
+struct Outcome {
+  Bytes bytes;
+  std::string error;  // "<kind>: <message>"; empty when it decoded
+
+  bool operator==(const Outcome&) const = default;
+};
+
+template <typename Decode>
+Outcome Decoded(Decode decode, const Bytes& packed) {
+  try {
+    return {decode(packed), ""};
+  } catch (const LzTruncatedError& e) {
+    return {{}, std::string("truncated: ") + e.what()};
+  } catch (const LzCorruptError& e) {
+    return {{}, std::string("corrupt: ") + e.what()};
+  }
+}
+
+void ExpectKernelMatchesReference(const Bytes& packed) {
+  const Outcome want = Decoded(testing::LzDecompressReference, packed);
+  const Outcome got = Decoded(
+      [](const Bytes& p) { return LzDecompress(p); }, packed);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_TRUE(got.bytes == want.bytes) << "output differs";
+}
+
+// Hand-assembled token streams in the fixed format.
+struct TokenStream {
+  Bytes packed = {0, 0, 0, 0};
+  std::uint32_t raw = 0;
+
+  void Literals(const Bytes& bytes) {
+    packed.push_back(static_cast<std::uint8_t>(bytes.size() - 1));
+    packed.insert(packed.end(), bytes.begin(), bytes.end());
+    raw += static_cast<std::uint32_t>(bytes.size());
+  }
+  void Match(std::size_t len, std::size_t dist) {
+    packed.push_back(static_cast<std::uint8_t>(0x80u | (len - kLzMinMatch)));
+    packed.push_back(static_cast<std::uint8_t>(dist));
+    packed.push_back(static_cast<std::uint8_t>(dist >> 8));
+    raw += static_cast<std::uint32_t>(len);
+  }
+  // Stamps the declared raw size: what the tokens produce.
+  const Bytes& Done() {
+    for (int i = 0; i < 4; ++i) {
+      packed[i] = static_cast<std::uint8_t>(raw >> (8 * i));
+    }
+    return packed;
+  }
+};
+
+TEST(LzKernel, EveryShortDistanceAndLengthMatchesTheReference) {
+  const Bytes prefix = RandomBytes(20, 7);
+  for (std::size_t dist = 1; dist <= 20; ++dist) {
+    for (std::size_t len = kLzMinMatch; len <= kLzMaxMatch; ++len) {
+      TokenStream s;
+      s.Literals(prefix);
+      s.Match(len, dist);
+      // A literal and a second match after it: both land on bytes the
+      // first match's chunked copy may have over-written.
+      s.Literals({0xA5, 0x5A, 0x3C});
+      s.Match(kLzMinMatch + 1, dist);
+      const Bytes& packed = s.Done();
+      ExpectKernelMatchesReference(packed);
+      EXPECT_EQ(LzDecompress(packed).size(), s.raw)
+          << "dist " << dist << " len " << len;
+    }
+  }
+}
+
+TEST(LzKernel, LiteralRunsEndingOnTheLastInputByteMatchTheReference) {
+  // The run's own bytes end the stream, so a 16-byte copy of a short run
+  // would read past the input; the kernel must copy its exact length.
+  // Preceding runs of every short length put the final run at each
+  // distance from the end.
+  const Bytes pool = RandomBytes(256, 11);
+  for (std::size_t last = 1; last <= 0x80; ++last) {
+    for (std::size_t before = 0; before <= 20; ++before) {
+      TokenStream s;
+      if (before > 0) s.Literals(Bytes(pool.begin(), pool.begin() + before));
+      s.Literals(Bytes(pool.begin() + 100, pool.begin() + 100 + last));
+      const Bytes& packed = s.Done();
+      ExpectKernelMatchesReference(packed);
+      const Bytes out = LzDecompress(packed);
+      ASSERT_EQ(out.size(), before + last);
+      EXPECT_TRUE(std::equal(out.end() - static_cast<std::ptrdiff_t>(last),
+                             out.end(), pool.begin() + 100));
+    }
+  }
+}
+
+TEST(LzKernel, OutputPastThePresizeGrowsTheBuffer) {
+  // The buffer starts at 1 MiB; a 3 MiB block must grow it as output
+  // arrives, far matches and literals alike.
+  const std::size_t size = (3u << 20) + 12345;
+  for (const int alphabet : {4, 256}) {
+    const Bytes data = RandomBytes(size, 21 + alphabet, alphabet);
+    for (const LzLevel level : {LzLevel::kFast, LzLevel::kDefault}) {
+      const Bytes packed = LzCompress(data, level);
+      const Bytes out = LzDecompress(packed);
+      EXPECT_TRUE(out == data) << "alphabet " << alphabet;
+      EXPECT_TRUE(out == testing::LzDecompressReference(packed));
+    }
+  }
+}
+
+TEST(LzKernel, RandomRoundTripsAtBothLevelsMatchTheReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t size = rng.NextBelow(5000);
+    const int alphabet = static_cast<int>(1 + rng.NextBelow(256));
+    const Bytes data = RandomBytes(size, 1000 + trial, alphabet);
+    for (const LzLevel level : {LzLevel::kFast, LzLevel::kDefault}) {
+      const Bytes packed = LzCompress(data, level);
+      EXPECT_TRUE(LzDecompress(packed) == data)
+          << "trial " << trial << " size " << size;
+      ExpectKernelMatchesReference(packed);
+    }
+  }
+}
+
+TEST(LzKernel, DamagedStreamsFailLikeTheReference) {
+  // Flipped, cut and re-sized streams: every error is the same type with
+  // the same message, and whatever still decodes decodes the same.
+  Rng rng(99);
+  const Bytes data = RandomBytes(3000, 5, 8);
+  const Bytes packed = LzCompress(data);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes damaged = packed;
+    switch (trial % 3) {
+      case 0:
+        damaged[rng.NextBelow(damaged.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+        break;
+      case 1:
+        damaged.resize(rng.NextBelow(damaged.size()));
+        break;
+      default:
+        damaged[rng.NextBelow(4)] =
+            static_cast<std::uint8_t>(rng.NextBelow(256));
+        break;
+    }
+    ExpectKernelMatchesReference(damaged);
+  }
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -667,6 +669,169 @@ TEST_F(DistributedTest, WingFinishesEachUplinkAsItsRadioFinalizes) {
   EXPECT_EQ(got_a, records_a);
   EXPECT_EQ(got_b, records_b);
   EXPECT_EQ(relayed, records_a + records_b);
+}
+
+// ---------------------------------------------------------------------------
+// Forwarding.  A wing moves each file's stored blocks to the root as they
+// are: it neither inflates nor re-compresses them, so its uplink carries
+// exactly each file's data region.  Only a source that stores no blocks is
+// re-encoded.
+
+// A finished .jigt file's prefix, units and marker: the bytes before its
+// index, whose offset the file's last 12 bytes give.
+std::uint64_t DataRegionBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.tellg();
+  std::uint8_t trailer[8] = {};
+  in.seekg(size - 12);
+  in.read(reinterpret_cast<char*>(trailer), sizeof trailer);
+  return ByteReader(std::span<const std::uint8_t>(trailer)).U64();
+}
+
+// Runs one wing over `traces` against a root expecting traces.size()
+// streams, and returns the root's jframes; the root's failure propagates.
+// The wing's own failure, if any, lands in `wing_error`.
+std::vector<JFrame> RelayThroughOneWing(TraceSet& traces, WingConfig wc,
+                                        std::exception_ptr& wing_error) {
+  RootConfig rc;
+  rc.n_streams = traces.size();
+  RootSession root(rc);
+  wc.root_port = root.port();
+  std::thread wing_thread([&] {
+    try {
+      WingSession wing(traces, wc);
+      wing.Run();
+    } catch (...) {
+      wing_error = std::current_exception();
+    }
+  });
+  std::vector<JFrame> streamed;
+  try {
+    root.Run([&streamed](JFrame&& jf) { streamed.push_back(std::move(jf)); });
+  } catch (...) {
+    wing_thread.join();
+    throw;
+  }
+  wing_thread.join();
+  return streamed;
+}
+
+TEST_F(DistributedTest, WingForwardsStoredBlocksWithoutDecodingThem) {
+  TraceSet mem = MultiChannelNetwork(61).Build();
+  const fs::path all = dir_ / "all";
+  const auto paths = mem.WriteDirectory(all);
+  TraceSet full = TraceSet::OpenDirectory(all);
+  const MergeResult batch = ReferenceMerge(full);
+  ASSERT_GT(batch.jframes.size(), 100u);
+
+  std::uint64_t data_bytes = 0;
+  std::uint64_t records = 0;
+  for (const fs::path& path : paths) {
+    data_bytes += kSocketHelloLen + DataRegionBytes(path);
+    records += TraceFileReader(path).TotalRecords();
+  }
+
+  struct Counts {
+    std::int64_t blocks_decoded;
+    std::int64_t records_decoded;
+    std::int64_t bytes_read;
+    std::int64_t uplink_bytes;
+    std::int64_t uplink_records;
+  };
+  const auto counts = [] {
+    const obs::MetricsSnapshot m = obs::MetricRegistry::Global().Collect();
+    return Counts{m.Value("jig_trace_blocks_decoded_total"),
+                  m.Value("jig_trace_records_decoded_total"),
+                  m.Value("jig_trace_bytes_read_total"),
+                  m.Value("jig_wing_uplink_bytes_total", "wing=\"7\""),
+                  m.Value("jig_wing_uplink_records_total", "wing=\"7\"")};
+  };
+  const Counts before = counts();
+  TraceSet files = TraceSet::OpenDirectory(all);
+  WingConfig wc;
+  wc.wing_id = 7;
+  std::exception_ptr wing_error;
+  const std::vector<JFrame> streamed =
+      RelayThroughOneWing(files, wc, wing_error);
+  const Counts after = counts();
+  if (wing_error) std::rethrow_exception(wing_error);
+
+  ExpectIdenticalStreams(streamed, batch.jframes);
+  // No file block was inflated or decoded on the wing.
+  EXPECT_EQ(after.blocks_decoded, before.blocks_decoded);
+  EXPECT_EQ(after.records_decoded, before.records_decoded);
+  EXPECT_EQ(after.bytes_read, before.bytes_read);
+  // Hellos, then each file's prefix, units and marker, byte for byte.
+  EXPECT_EQ(after.uplink_bytes - before.uplink_bytes,
+            static_cast<std::int64_t>(data_bytes));
+  EXPECT_EQ(after.uplink_records - before.uplink_records,
+            static_cast<std::int64_t>(records));
+}
+
+TEST_F(DistributedTest, WingReencodesStreamsThatStoreNoBlocks) {
+  TraceSet mem = MultiChannelNetwork(63).Build();
+  const fs::path all = dir_ / "all";
+  mem.WriteDirectory(all);
+  TraceSet full = TraceSet::OpenDirectory(all);
+  const MergeResult batch = ReferenceMerge(full);
+  ASSERT_GT(batch.jframes.size(), 100u);
+
+  // The same (quantized) records, held in memory.
+  TraceSet files = TraceSet::OpenDirectory(all);
+  TraceSet memory;
+  std::uint64_t records = 0;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    std::vector<CaptureRecord> recs;
+    while (auto rec = files.at(i).Next()) recs.push_back(*rec);
+    records += recs.size();
+    memory.Add(std::make_unique<MemoryTrace>(files.at(i).header(),
+                                             std::move(recs)));
+  }
+  WingConfig wc;
+  wc.wing_id = 9;
+  wc.records_per_block = 100;
+  const auto relayed = [] {
+    return obs::MetricRegistry::Global().Collect().Value(
+        "jig_wing_uplink_records_total", "wing=\"9\"");
+  };
+  const std::int64_t before = relayed();
+  std::exception_ptr wing_error;
+  const std::vector<JFrame> streamed =
+      RelayThroughOneWing(memory, wc, wing_error);
+  if (wing_error) std::rethrow_exception(wing_error);
+  ExpectIdenticalStreams(streamed, batch.jframes);
+  EXPECT_EQ(relayed() - before, static_cast<std::int64_t>(records));
+}
+
+// The wing no longer decodes what it forwards, so a garbled block reaches
+// the root, whose merge inflates it: Run ends with TraceCorruptError as
+// soon as the merge reaches that block.  A wing that decoded the file
+// itself died on the block instead, and its uplinks' destructors sent the
+// finalize marker — the root then merged a silently truncated capture.
+TEST_F(DistributedTest, CorruptBlockInAWingFileEndsTheRootWithCorruption) {
+  TraceSet mem = MultiChannelNetwork(62).Build();
+  const fs::path all = dir_ / "all";
+  const auto paths = mem.WriteDirectory(all);
+  // The first block's payload now declares a raw size no stream of its
+  // length can reach.  Its framing and the index stay intact, so only
+  // inflating the block can tell.
+  {
+    const std::uint64_t payload =
+        TraceFileReader(paths[0]).index().front().file_offset + 4;
+    std::fstream f(paths[0], std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(payload));
+    const char garbage[4] = {'\xFF', '\xFF', '\xFF', '\x7F'};
+    f.write(garbage, sizeof garbage);
+  }
+  TraceSet files = TraceSet::OpenDirectory(all);
+  WingConfig wc;
+  wc.wing_id = 10;
+  const auto t0 = std::chrono::steady_clock::now();
+  // The wing may finish sending before the root fails, or fail itself on
+  // a root that has hung up; the root's error is the one pinned here.
+  std::exception_ptr wing_error;
+  EXPECT_THROW(RelayThroughOneWing(files, wc, wing_error), TraceCorruptError);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "trace/tail_trace.h"
 #include "trace/trace_set.h"
@@ -325,6 +327,66 @@ TEST_F(TraceFileTest, TailFinalizeLatchesAcrossRewind) {
   }
   EXPECT_FALSE(tail->Next().has_value());
   EXPECT_TRUE(tail->Finalized());
+}
+
+// The relay form of each stream (RecordStream::NextUnit).  File and tail
+// readers hand over the blocks the writer cut, as stored, with their
+// record counts; the tail keeps its no-data-yet / finalized states.  A
+// stream that stores no blocks re-encodes the block a writer would cut.
+TEST_F(TraceFileTest, StreamsHandOverTheUnitsTheWriterCut) {
+  const auto path = dir_ / "units.jigt";
+  const auto records = MakeRecords(100);
+  const auto units_of = [](RecordStream& s) {
+    std::vector<std::pair<Bytes, std::uint32_t>> units;
+    Bytes scratch;
+    while (const auto unit = s.NextUnit(1000, scratch)) {
+      units.emplace_back(Bytes(unit->payload.begin(), unit->payload.end()),
+                         unit->records);
+    }
+    return units;
+  };
+  TraceFileWriter writer(path, Header(), /*records_per_block=*/32);
+  for (std::size_t i = 0; i < 10; ++i) writer.Append(records[i]);
+  writer.Sync();
+  for (std::size_t i = 10; i < 50; ++i) writer.Append(records[i]);
+  writer.Sync();  // blocks of 10, 32 and 8 published; nothing pending
+  auto tail = TailFileTrace::TryOpen(path);
+  ASSERT_NE(tail, nullptr);
+  auto tailed = units_of(*tail);
+  EXPECT_EQ(tailed.size(), 3u);
+  EXPECT_FALSE(tail->Finalized());
+  for (std::size_t i = 50; i < records.size(); ++i) writer.Append(records[i]);
+  writer.Finish();  // blocks of 32 and 18, then the marker
+  for (auto& unit : units_of(*tail)) tailed.push_back(std::move(unit));
+  EXPECT_TRUE(tail->Finalized());
+
+  FileTrace file(path);
+  const auto stored = units_of(file);
+  ASSERT_EQ(stored, tailed);
+  std::vector<std::uint32_t> counts;
+  std::size_t next = 0;
+  for (const auto& [payload, n] : stored) {
+    counts.push_back(n);
+    block_codec::DecodeRecords(
+        payload, block_codec::TornPayload::kCorrupt, "units",
+        [&](CaptureRecord&& rec) {
+          ASSERT_LT(next, records.size());
+          EXPECT_EQ(rec.timestamp, records[next].timestamp);
+          EXPECT_EQ(rec.bytes, records[next].bytes);
+          ++next;
+        });
+  }
+  EXPECT_EQ(counts, (std::vector<std::uint32_t>{10, 32, 8, 32, 18}));
+  EXPECT_EQ(next, records.size());
+
+  // Re-encoded from memory, ten records make the writer's first block.
+  MemoryTrace memory(Header(), records);
+  Bytes scratch;
+  const auto first = memory.NextUnit(10, scratch);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->records, 10u);
+  EXPECT_EQ(Bytes(first->payload.begin(), first->payload.end()),
+            stored.front().first);
 }
 
 TEST_F(TraceFileTest, MissingFileRejected) {
