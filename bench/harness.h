@@ -14,8 +14,9 @@
 #include <cstring>
 #include <string>
 
-#include "jigsaw/analysis/bus.h"
+#include "jigsaw/link.h"
 #include "jigsaw/pipeline.h"
+#include "jigsaw/tcp_reconstruct.h"
 #include "sim/scenario.h"
 
 namespace jig::bench {
@@ -58,31 +59,19 @@ struct MergedRun {
   std::size_t radio_count = 0;
 };
 
-// Runs the scenario and the full reconstruction pipeline.  The merge
-// streams through the analysis bus: link + transport reconstruction ride
-// the windowed incremental LinkReconstructor (O(exchange-timeout) jframe
-// retention inside the consumer), while the collector keeps the one jframe
-// copy the figure harnesses re-render — a single pass with a single copy
-// of the stream in memory.
+// Runs the scenario and the full reconstruction pipeline.  The figure
+// harnesses re-render the whole jframe vector, so this is the batch path:
+// MergeTraces collects the stream, then link and transport reconstruction
+// run over it (byte-identical to the bus's streaming LinkConsumer, pinned
+// by tests/bus_test.cc).
 inline MergedRun RunAndReconstruct(Scenario& scenario) {
   scenario.Run();
   auto traces = scenario.TakeTraces();
   MergedRun run;
   run.radio_count = traces.size();
-
-  AnalysisBus bus;
-  auto& collector = bus.Emplace<CollectorConsumer>();
-  auto& link = bus.Emplace<LinkConsumer>();
-  ReconstructionObserver reconstruction(link);
-  bus.SetTerminal(collector);  // jframes are moved into the buffer
-  auto stream = MergeTracesStreaming(traces, {}, bus.Sink());
-  bus.Finish();
-
-  run.link = reconstruction.TakeLink();
-  run.transport = reconstruction.TakeTransport();
-  run.merge.jframes = collector.Take();
-  run.merge.bootstrap = std::move(stream.bootstrap);
-  run.merge.stats = stream.stats;
+  run.merge = MergeTraces(traces);
+  run.link = ReconstructLink(run.merge.jframes);
+  run.transport = ReconstructTransport(run.merge.jframes, run.link);
   return run;
 }
 

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::printf("analyzed %zu (s,r) pairs with >=%u transmissions "
               "(peak window: %zu of %llu jframes)\n",
               report.pairs.size(), icfg.min_packets,
-              link.peak_window_jframes(),
+              bus.peak_retained_jframes(),
               static_cast<unsigned long long>(bus.jframes_seen()));
   std::printf("background loss rate (no contention): %.3f\n",
               report.mean_background_loss);

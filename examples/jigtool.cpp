@@ -91,15 +91,15 @@
 // deployment that ends failed is 3; a missing trace directory is 1; a
 // SIGTERM'd daemon exits 0 after its final snapshot flush.
 //
-// The merge and timeline commands run the streaming pipeline into the
-// analysis bus — one pass over the traces feeds every analysis at once.
-// merge is fully windowed (link, interference and TCP loss ride the
-// incremental reconstructor; memory stays O(exchange-timeout window));
-// timeline opts into the collector buffer because rendering needs the
-// whole jframe vector.  `serve` is the one door for a directory that is
-// still being written: its snapshot.json carries the lag, retained
-// jframes and Figure 9 / Figure 11 aggregates (with --analysis), and its
-// metrics.prom the whole metric registry.
+// The merge command runs the streaming pipeline into the analysis bus —
+// one pass over the traces feeds every analysis at once, fully windowed
+// (link, interference and TCP loss ride the incremental reconstructor;
+// the bus's window stays O(exchange-timeout window)).  timeline takes the
+// batch MergeTraces vector because rendering needs every jframe.  `serve`
+// is the one door for a directory that is still being written: its
+// snapshot.json carries the lag, retained jframes and Figure 9 / Figure 11
+// aggregates (with --analysis), and its metrics.prom the whole metric
+// registry.
 //
 // Usage: ./build/examples/jigtool <command> <trace_dir> [args]
 #include <algorithm>
@@ -609,9 +609,9 @@ int CmdMerge(const char* dir, unsigned threads, const char* stats_json) {
               tcp_loss.report().aggregate_wired_rate);
   std::printf("stream window:     peak %zu jframes buffered "
               "(%.2f%% of %llu)\n",
-              link.peak_window_jframes(),
+              bus.peak_retained_jframes(),
               bus.jframes_seen()
-                  ? 100.0 * static_cast<double>(link.peak_window_jframes()) /
+                  ? 100.0 * static_cast<double>(bus.peak_retained_jframes()) /
                         static_cast<double>(bus.jframes_seen())
                   : 0.0,
               static_cast<unsigned long long>(bus.jframes_seen()));
@@ -693,21 +693,17 @@ int CmdTimeline(const char* dir, Micros span) {
     std::fprintf(stderr, "no .jigt files in %s\n", dir);
     return 1;
   }
-  AnalysisBus bus;
-  auto& collector = bus.Emplace<CollectorConsumer>();
-  bus.SetTerminal(collector);
-  MergeTracesStreaming(traces, {}, bus.Sink());
-  bus.Finish();
+  const std::vector<JFrame> jframes = MergeTraces(traces).jframes;
   TimelineOptions options;
   options.span = span;
   // Start at the first busy multi-instance DATA frame.
-  for (const JFrame& jf : collector.jframes()) {
+  for (const JFrame& jf : jframes) {
     if (jf.frame.type == FrameType::kData && jf.InstanceCount() >= 3) {
       options.start = jf.timestamp - 100;
       break;
     }
   }
-  std::printf("%s", RenderTimeline(collector.jframes(), options).c_str());
+  std::printf("%s", RenderTimeline(jframes, options).c_str());
   return 0;
 }
 

@@ -92,6 +92,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   tcp_loss.report().flows_considered),
               tcp_loss.report().aggregate_wireless_rate,
-              link.peak_window_jframes());
+              bus.peak_retained_jframes());
   return 0;
 }

@@ -14,17 +14,21 @@
 //   MergeTracesStreaming(traces, config, bus.Sink());
 //   bus.Finish();
 //
-// Link-dependent analyses (interference, TCP loss) ride the windowed
-// LinkConsumer: the incremental LinkReconstructor emits attempts and
-// exchanges as the watermark passes the 500 ms exchange-timeout bound, so
-// their memory is O(timeout window).  Register the LinkConsumer before its
-// dependents — Finish() runs in registration order:
+// The bus owns each jframe once: it moves each into one window indexed by
+// stream ordinal, hands every consumer a const reference, then retires the
+// prefix below every consumer's retain_from().  Link-dependent analyses
+// (interference, TCP loss) ride the LinkConsumer, whose incremental
+// LinkReconstructor emits attempts and exchanges as the watermark passes
+// the 500 ms exchange-timeout bound, so the window is O(timeout window).
+// Register the LinkConsumer before its dependents — Finish() runs in
+// registration order:
 //
 //   auto& link = bus.Emplace<LinkConsumer>();
 //   auto& interference = bus.Emplace<InterferenceConsumer>(link);
 //   auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -60,6 +64,8 @@ inline obs::Gauge& RetainedWindowGauge(const char* consumer) {
 
 }  // namespace bus_internal
 
+class AnalysisBus;
+
 // One subscriber on the jframe stream.  OnJFrame is called once per jframe
 // in timestamp order; Finish once after the stream ends.
 class JFrameConsumer {
@@ -68,9 +74,19 @@ class JFrameConsumer {
   virtual const char* name() const = 0;
   virtual void OnJFrame(const JFrame& jf) = 0;
   virtual void Finish() {}
-};
+  // Lowest stream ordinal this consumer may still read through
+  // bus().At(); the bus retires every jframe below the minimum over its
+  // consumers.  The default retains nothing.
+  virtual std::uint64_t retain_from() const { return UINT64_MAX; }
 
-class CollectorConsumer;
+ protected:
+  // The bus this consumer was added to (wired in by AnalysisBus::Add).
+  const AnalysisBus& bus() const { return *bus_; }
+
+ private:
+  friend class AnalysisBus;
+  const AnalysisBus* bus_ = nullptr;
+};
 
 class AnalysisBus {
  public:
@@ -79,6 +95,7 @@ class AnalysisBus {
         "jig_bus_consumer_busy_ns_total",
         "Cumulative wall time each consumer spent handling jframes",
         std::string("consumer=\"") + consumer->name() + "\""));
+    consumer->bus_ = this;
     consumers_.push_back(std::move(consumer));
     return *consumers_.back();
   }
@@ -93,22 +110,30 @@ class AnalysisBus {
     return ref;
   }
 
-  // Designates a registered collector as the stream terminal: after the
-  // const& fan-out to every other consumer, the jframe itself is moved
-  // into it — the buffering path stays zero-copy end to end.
-  void SetTerminal(CollectorConsumer& collector);
-
-  void OnJFrame(JFrame&& jf);
-
-  void OnJFrame(const JFrame& jf) {
+  void OnJFrame(JFrame&& jf) {
     ++jframes_seen_;
     JFramesCounter().Add(1);
-    for (std::size_t i = 0; i < consumers_.size(); ++i) Dispatch(i, jf);
+    window_.push_back(std::move(jf));
+    peak_retained_ = std::max(peak_retained_, window_.size());
+    for (std::size_t i = 0; i < consumers_.size(); ++i) {
+      Dispatch(i, window_.back());
+    }
+    std::uint64_t keep = jframes_seen_;
+    for (const auto& c : consumers_) keep = std::min(keep, c->retain_from());
+    Retire(keep);
   }
 
-  // Finishes every consumer in registration order (dependencies first).
+  // Finishes every consumer in registration order (dependencies first),
+  // then releases the window.
   void Finish() {
     for (auto& c : consumers_) c->Finish();
+    Retire(jframes_seen_);
+  }
+
+  // The retained jframe at stream ordinal `ordinal`; valid for ordinals
+  // at or above every consumer's retain_from() until the next OnJFrame.
+  const JFrame& At(std::uint64_t ordinal) const {
+    return window_[static_cast<std::size_t>(ordinal - base_)];
   }
 
   // Adapter for MergeTracesStreaming's sink signature.
@@ -118,6 +143,9 @@ class AnalysisBus {
 
   std::size_t consumer_count() const { return consumers_.size(); }
   std::uint64_t jframes_seen() const { return jframes_seen_; }
+  std::size_t retained_jframes() const { return window_.size(); }
+  // Peak number of jframes held at once — the O(window) memory bound.
+  std::size_t peak_retained_jframes() const { return peak_retained_; }
 
  private:
   static obs::Counter& JFramesCounter() {
@@ -141,47 +169,22 @@ class AnalysisBus {
             .count()));
   }
 
+  void Retire(std::uint64_t keep) {
+    for (; base_ < keep; ++base_) window_.pop_front();
+    window_gauge_.Set(static_cast<std::int64_t>(window_.size()));
+  }
+
   std::vector<std::unique_ptr<JFrameConsumer>> consumers_;
   std::vector<obs::Counter*> busy_ns_;  // parallel to consumers_
-  CollectorConsumer* terminal_ = nullptr;
+  std::deque<JFrame> window_;           // ordinals [base_, jframes_seen_)
+  std::uint64_t base_ = 0;
   std::uint64_t jframes_seen_ = 0;
+  std::size_t peak_retained_ = 0;
+  obs::Gauge& window_gauge_ = bus_internal::RetainedWindowGauge("bus");
 };
 
 // ---------------------------------------------------------------------------
 // Stock consumers.
-
-// Collects the stream into a vector — for consumers of batch-only APIs
-// (e.g. timeline rendering) riding the same pass.  When registered as the
-// bus terminal (AnalysisBus::SetTerminal) the jframes are moved in, not
-// copied.
-class CollectorConsumer final : public JFrameConsumer {
- public:
-  const char* name() const override { return "collector"; }
-  void OnJFrame(const JFrame& jf) override { jframes_.push_back(jf); }
-  void Collect(JFrame&& jf) { jframes_.push_back(std::move(jf)); }
-
-  const std::vector<JFrame>& jframes() const { return jframes_; }
-  std::vector<JFrame> Take() { return std::move(jframes_); }
-
- private:
-  std::vector<JFrame> jframes_;
-};
-
-inline void AnalysisBus::SetTerminal(CollectorConsumer& collector) {
-  terminal_ = &collector;
-}
-
-inline void AnalysisBus::OnJFrame(JFrame&& jf) {
-  ++jframes_seen_;
-  JFramesCounter().Add(1);
-  for (std::size_t i = 0; i < consumers_.size(); ++i) {
-    if (consumers_[i].get() == static_cast<JFrameConsumer*>(terminal_)) {
-      continue;
-    }
-    Dispatch(i, jf);
-  }
-  if (terminal_ != nullptr) terminal_->Collect(std::move(jf));
-}
 
 // Subscriber on the streaming link reconstruction.  OnStreamJFrame is
 // dispatched for every jframe *before* the reconstructor's FSM sees it, so
@@ -193,7 +196,7 @@ class LinkObserver {
   virtual ~LinkObserver() = default;
   virtual void OnStreamJFrame(const JFrame& /*jf*/, std::uint64_t /*index*/) {}
   virtual void OnAttempt(const TransmissionAttempt& /*attempt*/) {}
-  // `data` points at the exchange's DATA jframe inside the consumer's
+  // `data` points at the exchange's DATA jframe inside the bus's
   // window (nullptr when only control frames were observed) and is valid
   // only for the duration of the call.
   virtual void OnExchange(const FrameExchange& /*exchange*/,
@@ -201,10 +204,10 @@ class LinkObserver {
   virtual void OnLinkFinish() {}
 };
 
-// Windowed, incremental link reconstruction on the bus.  Keeps only the
-// jframes still referenced by un-emitted attempts/exchanges (bounded by the
-// 500 ms exchange timeout), fanning emissions out to registered observers.
-// Register observers before the stream starts.
+// Windowed, incremental link reconstruction on the bus.  Has the bus retain
+// only the jframes still referenced by un-emitted attempts/exchanges
+// (bounded by the 500 ms exchange timeout), fanning emissions out to
+// registered observers.  Register observers before the stream starts.
 class LinkConsumer final : public JFrameConsumer {
  public:
   explicit LinkConsumer(LinkConfig config = {})
@@ -223,18 +226,19 @@ class LinkConsumer final : public JFrameConsumer {
 
   void OnJFrame(const JFrame& jf) override {
     const std::uint64_t index = reconstructor_.jframes_seen();
-    window_.push_back(jf);
-    peak_window_ = std::max(peak_window_, window_.size());
     for (auto* o : observers_) o->OnStreamJFrame(jf, index);
     reconstructor_.OnJFrame(jf);
-    Prune();
-    window_gauge_.Set(static_cast<std::int64_t>(window_.size()));
   }
 
   void Finish() override {
     reconstructor_.Flush();
-    Prune();
     for (auto* o : observers_) o->OnLinkFinish();
+  }
+
+  // Every un-emitted attempt or exchange references only jframes at or
+  // above this ordinal.
+  std::uint64_t retain_from() const override {
+    return reconstructor_.min_live_jframe();
   }
 
   const LinkStats& stats() const { return reconstructor_.stats(); }
@@ -242,31 +246,17 @@ class LinkConsumer final : public JFrameConsumer {
   std::uint64_t min_live_jframe() const {
     return reconstructor_.min_live_jframe();
   }
-  // Peak number of jframes buffered at once — the O(window) memory bound.
-  std::size_t peak_window_jframes() const { return peak_window_; }
 
  private:
   void Dispatch(const FrameExchange& ex) {
     const JFrame* data = nullptr;
     if (ex.data_jframe >= 0) {
-      data = &window_[static_cast<std::size_t>(ex.data_jframe) - base_];
+      data = &bus().At(static_cast<std::uint64_t>(ex.data_jframe));
     }
     for (auto* o : observers_) o->OnExchange(ex, data);
   }
 
-  void Prune() {
-    const std::uint64_t live = reconstructor_.min_live_jframe();
-    while (base_ < live && !window_.empty()) {
-      window_.pop_front();
-      ++base_;
-    }
-  }
-
   std::vector<LinkObserver*> observers_;
-  std::deque<JFrame> window_;
-  std::uint64_t base_ = 0;
-  std::size_t peak_window_ = 0;
-  obs::Gauge& window_gauge_ = bus_internal::RetainedWindowGauge("link");
   // Declared last: its sinks capture `this` and read the members above.
   LinkReconstructor reconstructor_;
 };
@@ -422,6 +412,7 @@ class TcpLossConsumer final : public JFrameConsumer, public LinkObserver {
 
   void Finish() override {
     transport_ = tracker_.Finish();
+    finished_ = true;
     report_ = ComputeTcpLoss(transport_, config_);
     if (labeler_) {
       groups_ = ComputeTcpLossByGroup(transport_, labeler_, config_);
@@ -433,8 +424,10 @@ class TcpLossConsumer final : public JFrameConsumer, public LinkObserver {
   // The incrementally reconstructed transport layer.
   const TransportReconstruction& transport() const { return transport_; }
   // Mid-stream Figure-11 report over every flow seen so far (the
-  // `serve --analysis` snapshot path).
+  // `serve --analysis` snapshot path).  Finish() moves the flows out of
+  // the tracker, so from then on this is the final report.
   TcpLossReport SnapshotReport() const {
+    if (finished_) return report_;
     return ComputeTcpLoss(tracker_.Snapshot(), config_);
   }
 
@@ -444,6 +437,7 @@ class TcpLossConsumer final : public JFrameConsumer, public LinkObserver {
   TransportTracker tracker_;
   TransportReconstruction transport_;
   TcpLossReport report_;
+  bool finished_ = false;
   std::vector<TcpLossGroup> groups_;
   obs::Gauge& window_gauge_ = bus_internal::RetainedWindowGauge("tcp-loss");
 };

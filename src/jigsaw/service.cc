@@ -486,17 +486,17 @@ void DeploymentMonitor::StartSession(
 }
 
 void DeploymentMonitor::OnJFrame(JFrame&& jf) {
-  // The analysis chain sees EVERY delivery, including the recovery
-  // replay: its windowed state regenerates deterministically alongside
-  // the suppressed prefix.
-  if (bus_) bus_->OnJFrame(jf);
   if (suppress_remaining_ > 0) {
     --suppress_remaining_;
     ++recovered_;
     metrics_->recovered.Add(1);
-    return;
+  } else {
+    AppendToLog(jf);
   }
-  AppendToLog(jf);
+  // The analysis chain sees EVERY delivery, including the recovery
+  // replay: its windowed state regenerates deterministically alongside
+  // the suppressed prefix.  It takes the jframe last, by move.
+  if (bus_) bus_->OnJFrame(std::move(jf));
 }
 
 void DeploymentMonitor::AppendToLog(const JFrame& jf) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "jframe_equality.h"
 #include "jigsaw/pipeline.h"
 #include "link_equality.h"
 #include "sim/scenario.h"
@@ -47,13 +48,11 @@ MergeResult* BusEquivalence::batch_ = nullptr;
 
 TEST_F(BusEquivalence, SinglePassMatchesBatchAnalyses) {
   AnalysisBus bus;
-  auto& collector = bus.Emplace<CollectorConsumer>();
   auto& dispersion = bus.Emplace<DispersionConsumer>();
   auto& activity = bus.Emplace<ActivityConsumer>(Seconds(1));
   auto& coverage =
       bus.Emplace<WiredCoverageConsumer>(scenario_->wired_records());
-  bus.SetTerminal(collector);  // collector receives the stream by move
-  ASSERT_EQ(bus.consumer_count(), 4u);
+  ASSERT_EQ(bus.consumer_count(), 3u);
 
   MergeConfig cfg;
   cfg.threads = 0;  // the parallel merge feeds the bus
@@ -62,7 +61,6 @@ TEST_F(BusEquivalence, SinglePassMatchesBatchAnalyses) {
 
   // The stream the bus saw is the batch stream.
   ASSERT_EQ(bus.jframes_seen(), batch_->jframes.size());
-  ASSERT_EQ(collector.jframes().size(), batch_->jframes.size());
 
   // Dispersion: identical distribution.
   const auto batch_disp = DispersionDistribution(batch_->jframes);
@@ -101,9 +99,9 @@ TEST_F(BusEquivalence, SinglePassMatchesBatchAnalyses) {
 }
 
 TEST_F(BusEquivalence, WindowedLinkPathMatchesBatchWithoutCollector) {
-  // The collector-free bus: windowed link reconstruction feeding the
-  // streaming interference and TCP-loss consumers.  Everything must be
-  // byte-identical to the batch path over the full jframe vector.
+  // Windowed link reconstruction feeding the streaming interference and
+  // TCP-loss consumers, with no jframe vector anywhere.  Everything must
+  // be byte-identical to the batch path over the full jframe vector.
   AnalysisBus bus;
   auto& link = bus.Emplace<LinkConsumer>();
   auto& interference = bus.Emplace<InterferenceConsumer>(link);
@@ -116,8 +114,8 @@ TEST_F(BusEquivalence, WindowedLinkPathMatchesBatchWithoutCollector) {
 
   // The windowed path must actually window: peak retention below the
   // full-trace buffer it replaces.
-  EXPECT_GT(link.peak_window_jframes(), 0u);
-  EXPECT_LT(link.peak_window_jframes(), batch_->jframes.size());
+  EXPECT_GT(bus.peak_retained_jframes(), 0u);
+  EXPECT_LT(bus.peak_retained_jframes(), batch_->jframes.size());
 
   const auto batch_link = ReconstructLink(batch_->jframes);
   ExpectLinkIdentical(reconstruction.link(), batch_link);
@@ -217,6 +215,66 @@ TEST_F(BusEquivalence, OnlineMonitorRidesTheBus) {
   EXPECT_EQ(windows, online.monitor().windows_emitted());
   EXPECT_GT(windows, 1u);
   EXPECT_EQ(jframes_in_windows, bus.jframes_seen());
+}
+
+// ---------------------------------------------------------------------------
+// The retention contract: the bus owns each jframe once, keeps what some
+// consumer's retain_from() still covers, and retires everything else.
+
+// Pins ordinal `k` and, on every later jframe, reads it back from the bus.
+class PinningConsumer final : public JFrameConsumer {
+ public:
+  explicit PinningConsumer(std::uint64_t k) : k_(k) {}
+  const char* name() const override { return "pin"; }
+  void OnJFrame(const JFrame&) override {
+    if (++seen_ > k_ + 1) read_back_ = bus().At(k_);
+  }
+  std::uint64_t retain_from() const override { return k_; }
+
+  std::uint64_t seen() const { return seen_; }
+  const JFrame& read_back() const { return read_back_; }
+
+ private:
+  std::uint64_t k_;
+  std::uint64_t seen_ = 0;
+  JFrame read_back_;
+};
+
+TEST_F(BusEquivalence, PinnedOrdinalReadsBackTheBatchJFrame) {
+  ASSERT_GT(batch_->jframes.size(), 100u);
+  const std::uint64_t k = 37;
+  AnalysisBus bus;
+  auto& pin = bus.Emplace<PinningConsumer>(k);
+  MergeConfig cfg;
+  cfg.threads = 0;
+  MergeTracesStreaming(*traces_, cfg, bus.Sink());
+  EXPECT_EQ(pin.seen(), batch_->jframes.size());
+  // Everything from the pin on is still held before Finish().
+  EXPECT_EQ(bus.retained_jframes(), batch_->jframes.size() - k);
+  jig::testing::ExpectIdenticalStreams({pin.read_back()},
+                                       {batch_->jframes[k]});
+  jig::testing::ExpectIdenticalStreams({bus.At(k)}, {batch_->jframes[k]});
+  bus.Finish();
+  EXPECT_EQ(bus.retained_jframes(), 0u);
+}
+
+TEST_F(BusEquivalence, ConsumersThatRetainNothingHoldOneJFrame) {
+  AnalysisBus bus;
+  bus.Emplace<DispersionConsumer>();
+  MergeTracesStreaming(*traces_, {}, bus.Sink());
+  EXPECT_EQ(bus.jframes_seen(), batch_->jframes.size());
+  EXPECT_EQ(bus.peak_retained_jframes(), 1u);
+  EXPECT_EQ(bus.retained_jframes(), 0u);
+}
+
+TEST_F(BusEquivalence, LinkWindowIsEmptyAfterFinish) {
+  AnalysisBus bus;
+  auto& link = bus.Emplace<LinkConsumer>();
+  MergeTracesStreaming(*traces_, {}, bus.Sink());
+  EXPECT_GT(bus.retained_jframes(), 0u);  // exchanges still pending
+  bus.Finish();
+  EXPECT_EQ(link.min_live_jframe(), batch_->jframes.size());
+  EXPECT_EQ(bus.retained_jframes(), 0u);
 }
 
 }  // namespace

@@ -20,11 +20,13 @@
 
 #include "fault_injection.h"
 #include "jframe_equality.h"
+#include "jigsaw/analysis/bus.h"
 #include "jigsaw/pipeline.h"
 #include "jigsaw/service.h"
 #include "jigsaw/spill.h"
 #include "obs/metrics.h"
 #include "reference_merge.h"
+#include "sim/scenario.h"
 #include "synthetic.h"
 #include "trace/trace_set.h"
 #include "util/byte_io.h"
@@ -426,6 +428,91 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<unsigned>& info) {
       return "threads" + std::to_string(info.param);
     });
+
+// ---------------------------------------------------------------------------
+// Analysis snapshot (--analysis).
+
+// The service's integer rendering of a rate (DeploymentStatus's *_ppm).
+std::uint64_t Ppm(double fraction) {
+  if (!(fraction > 0.0)) return 0;
+  if (fraction >= 1.0) return 1'000'000;
+  return static_cast<std::uint64_t>(fraction * 1e6);
+}
+
+void ExpectSameAnalysis(const DeploymentStatus& got,
+                        const DeploymentStatus& expect) {
+  EXPECT_EQ(got.interference_pairs, expect.interference_pairs);
+  EXPECT_EQ(got.interfered_ppm, expect.interfered_ppm);
+  EXPECT_EQ(got.tcp_flows, expect.tcp_flows);
+  EXPECT_EQ(got.tcp_loss_ppm, expect.tcp_loss_ppm);
+}
+
+// Status()'s Figure 9 / Figure 11 aggregates after a run to completion
+// equal those of a link + interference + TCP-loss bus fed the reference
+// merge — uninterrupted, and killed mid output write then restarted (the
+// suppressed replay must still feed the analysis chain).  The busy
+// simulated capture of examples/interference_study carries TCP loss and
+// (s,r) pairs past Figure 9's 100-packet floor; the synthetic one does
+// not.
+TEST_F(ServiceTest, AnalysisStatusMatchesReferenceBus) {
+  ScenarioConfig sim;
+  sim.seed = 3;
+  sim.duration = Seconds(30);
+  sim.clients = 48;
+  sim.workload.web_per_min = 4.0;
+  sim.workload.scp_per_min = 0.4;
+  Scenario scenario(sim);
+  scenario.Run();
+  const fs::path traces = dir_ / "traces";
+  const std::size_t radios =
+      scenario.TakeTraces().WriteDirectory(traces).size();
+
+  DeploymentStatus expect;
+  {
+    TraceSet set = TraceSet::OpenDirectory(traces);
+    AnalysisBus bus;
+    auto& link = bus.Emplace<LinkConsumer>();
+    auto& interference = bus.Emplace<InterferenceConsumer>(link);
+    auto& tcp_loss = bus.Emplace<TcpLossConsumer>(link);
+    for (JFrame& jf : testing::ReferenceMerge(set).jframes) {
+      bus.OnJFrame(std::move(jf));
+    }
+    bus.Finish();
+    expect.interference_pairs = interference.report().pairs.size();
+    expect.interfered_ppm =
+        Ppm(interference.report().fraction_pairs_interfered);
+    expect.tcp_flows = tcp_loss.report().flows_considered;
+    expect.tcp_loss_ppm = Ppm(tcp_loss.report().aggregate_loss_rate);
+  }
+  // Nonzero everywhere, so a snapshot that drops any aggregate shows.
+  ASSERT_GT(expect.interference_pairs, 0u);
+  ASSERT_GT(expect.interfered_ppm, 0u);
+  ASSERT_GT(expect.tcp_flows, 0u);
+  ASSERT_GT(expect.tcp_loss_ppm, 0u);
+
+  const auto cfg = [&](const std::string& name) {
+    DeploymentConfig c = Cfg(name, traces);
+    c.expected_traces = radios;
+    c.analysis = true;
+    return c;
+  };
+
+  DeploymentMonitor fresh(cfg("fresh"));
+  RunToDone(fresh);
+  ExpectSameAnalysis(fresh.Status(), expect);
+
+  DeploymentConfig crash = cfg("crash");
+  crash.hooks.after_output_append = KillAfterAppend(137);
+  {
+    DeploymentMonitor victim(crash);
+    RunUntilKilled(victim);
+  }
+  DeploymentMonitor restarted(cfg("crash"));
+  EXPECT_TRUE(restarted.recovered_from_checkpoint());
+  RunToDone(restarted);
+  EXPECT_GT(restarted.recovered_jframes(), 0u);
+  ExpectSameAnalysis(restarted.Status(), expect);
+}
 
 // ---------------------------------------------------------------------------
 // Clean shutdown (the SIGTERM door).
